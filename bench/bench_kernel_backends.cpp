@@ -1,7 +1,9 @@
-// Kernel-backend shootout: dense reference vs sparse frontier propagation,
+// Kernel-backend shootout: exact (`dense`) vs pruned (`sparse`) requests,
 // swept across graph density × prune epsilon × measure. Single-source
 // latency at one worker thread — the per-query cost the backends differ
-// on; batching/threading is orthogonal (bench_query_engine).
+// on; batching/threading is orthogonal (bench_query_engine). Both kinds
+// run the frontier backend (core/kernel_backend.h); `dense` rows are the
+// frontier at prune_epsilon = 0, not the dense reference cursor.
 //
 // The acceptance bar for the sparse backend: on a low-degree random graph
 // (avg degree <= 4) of n >= 50k nodes at epsilon = 1e-4, sparse beats

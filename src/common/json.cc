@@ -15,39 +15,104 @@ constexpr int kMaxDepth = 64;
 
 }  // namespace
 
+JsonValue::JsonValue(std::string v) : kind_(Kind::kString) {
+  payload_.string = new std::string(std::move(v));
+}
+
+JsonValue::JsonValue(Kind kind) : kind_(kind) {
+  if (kind == Kind::kArray) {
+    payload_.array = new Array();
+  } else {
+    payload_.object = new Object();
+  }
+}
+
+JsonValue::JsonValue(const JsonValue& other)
+    : kind_(other.kind_), payload_(other.payload_) {
+  switch (kind_) {
+    case Kind::kString:
+      payload_.string = new std::string(*other.payload_.string);
+      break;
+    case Kind::kArray:
+      payload_.array = new Array(*other.payload_.array);
+      break;
+    case Kind::kObject:
+      payload_.object = new Object(*other.payload_.object);
+      break;
+    default:
+      break;
+  }
+}
+
+JsonValue& JsonValue::operator=(const JsonValue& other) {
+  if (this != &other) *this = JsonValue(other);
+  return *this;
+}
+
+JsonValue& JsonValue::operator=(JsonValue&& other) noexcept {
+  if (this != &other) {
+    // Detach `other` before releasing: it may live inside this value
+    // (v = std::move(v.array()[0])).
+    const Kind kind = other.kind_;
+    const Payload payload = other.payload_;
+    other.kind_ = Kind::kNull;
+    if (kind_ >= Kind::kString) Release();
+    kind_ = kind;
+    payload_ = payload;
+  }
+  return *this;
+}
+
+void JsonValue::Release() {
+  switch (kind_) {
+    case Kind::kString:
+      delete payload_.string;
+      break;
+    case Kind::kArray:
+      delete payload_.array;
+      break;
+    case Kind::kObject:
+      delete payload_.object;
+      break;
+    default:
+      break;
+  }
+  kind_ = Kind::kNull;
+}
+
 bool JsonValue::AsBool() const {
   SRS_CHECK(is_bool()) << "JsonValue::AsBool on non-bool";
-  return bool_;
+  return payload_.boolean;
 }
 
 double JsonValue::AsNumber() const {
   SRS_CHECK(is_number()) << "JsonValue::AsNumber on non-number";
-  return number_;
+  return payload_.number;
 }
 
 const std::string& JsonValue::AsString() const {
   SRS_CHECK(is_string()) << "JsonValue::AsString on non-string";
-  return string_;
+  return *payload_.string;
 }
 
 const JsonValue::Array& JsonValue::array() const {
   SRS_CHECK(is_array()) << "JsonValue::array on non-array";
-  return array_;
+  return *payload_.array;
 }
 
 JsonValue::Array& JsonValue::array() {
   SRS_CHECK(is_array()) << "JsonValue::array on non-array";
-  return array_;
+  return *payload_.array;
 }
 
 const JsonValue::Object& JsonValue::object() const {
   SRS_CHECK(is_object()) << "JsonValue::object on non-object";
-  return object_;
+  return *payload_.object;
 }
 
 JsonValue::Object& JsonValue::object() {
   SRS_CHECK(is_object()) << "JsonValue::object on non-object";
-  return object_;
+  return *payload_.object;
 }
 
 void JsonValue::Append(JsonValue v) { array().push_back(std::move(v)); }
@@ -58,7 +123,7 @@ void JsonValue::Set(std::string key, JsonValue v) {
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (!is_object()) return nullptr;
-  for (const auto& [k, v] : object_) {
+  for (const auto& [k, v] : *payload_.object) {
     if (k == key) return &v;
   }
   return nullptr;
@@ -109,9 +174,11 @@ void EncodeNumber(double v, std::string* out) {
   // versions, and counts round-trip textually; everything else gets
   // shortest-guaranteed-round-trip digits.
   if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) <= 9.0e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    *out += buf;
+    char buf[24];
+    const auto [end, ec] =
+        std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(v));
+    SRS_CHECK(ec == std::errc());
+    out->append(buf, end);
     return;
   }
   if (!std::isfinite(v)) {  // JSON has no inf/nan; null is the convention

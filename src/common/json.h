@@ -9,11 +9,15 @@
 /// is self-contained (no third-party dependency, per the repo's rule) and
 /// deliberately small:
 ///
-///  * `JsonValue` is a tagged union of null / bool / number (double) /
-///    string / array / object. Objects preserve insertion order — encoded
-///    output is deterministic, which the golden-style protocol tests rely
-///    on — and lookups are linear (protocol objects have a handful of
-///    keys).
+///  * `JsonValue` is a 16-byte tagged union of null / bool / number
+///    (double) / string / array / object: the kind plus either an inline
+///    bool or double or one owning pointer to the string, array, or
+///    object. Copies are deep, moves steal the pointer. A full score row
+///    is an array of ~n numbers, so the per-value footprint is what
+///    building and parsing a row costs. Objects preserve insertion order —
+///    encoded output is deterministic, which the golden-style protocol
+///    tests rely on — and lookups are linear (protocol objects have a
+///    handful of keys).
 ///  * `ParseJson` is a strict recursive-descent parser: full escape
 ///    handling (including surrogate pairs), a nesting-depth cap so hostile
 ///    input cannot blow the stack, and trailing garbage is an error.
@@ -44,15 +48,30 @@ class JsonValue {
   /// produce them.
   using Object = std::vector<std::pair<std::string, JsonValue>>;
 
-  JsonValue() : kind_(Kind::kNull) {}
-  JsonValue(bool v) : kind_(Kind::kBool), bool_(v) {}           // NOLINT
-  JsonValue(double v) : kind_(Kind::kNumber), number_(v) {}     // NOLINT
+  JsonValue() : kind_(Kind::kNull) { payload_.number = 0.0; }
+  JsonValue(bool v) : kind_(Kind::kBool) {  // NOLINT
+    payload_.boolean = v;
+  }
+  JsonValue(double v) : kind_(Kind::kNumber) {  // NOLINT
+    payload_.number = v;
+  }
   JsonValue(int v) : JsonValue(static_cast<double>(v)) {}       // NOLINT
   JsonValue(int64_t v) : JsonValue(static_cast<double>(v)) {}   // NOLINT
   JsonValue(uint64_t v) : JsonValue(static_cast<double>(v)) {}  // NOLINT
-  JsonValue(std::string v)                                      // NOLINT
-      : kind_(Kind::kString), string_(std::move(v)) {}
+  JsonValue(std::string v);                                     // NOLINT
   JsonValue(const char* v) : JsonValue(std::string(v)) {}       // NOLINT
+
+  /// Deep copy; a moved-from value is null.
+  JsonValue(const JsonValue& other);
+  JsonValue(JsonValue&& other) noexcept
+      : kind_(other.kind_), payload_(other.payload_) {
+    other.kind_ = Kind::kNull;
+  }
+  JsonValue& operator=(const JsonValue& other);
+  JsonValue& operator=(JsonValue&& other) noexcept;
+  ~JsonValue() {
+    if (kind_ >= Kind::kString) Release();
+  }
 
   static JsonValue MakeArray() { return JsonValue(Kind::kArray); }
   static JsonValue MakeObject() { return JsonValue(Kind::kObject); }
@@ -88,14 +107,22 @@ class JsonValue {
   std::string Encode() const;
 
  private:
-  explicit JsonValue(Kind kind) : kind_(kind) {}
+  /// An empty array or object.
+  explicit JsonValue(Kind kind);
+
+  /// Frees the owned string, array, or object.
+  void Release();
+
+  union Payload {
+    bool boolean;
+    double number;
+    std::string* string;
+    Array* array;
+    Object* object;
+  };
 
   Kind kind_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  Array array_;
-  Object object_;
+  Payload payload_;
 };
 
 /// Parses exactly one JSON document from `text` (leading/trailing

@@ -73,13 +73,13 @@ std::shared_ptr<const KernelBackend> MakeDenseKernelBackend() {
 
 std::shared_ptr<const KernelBackend> MakeKernelBackend(
     const SimilarityOptions& options) {
-  switch (options.backend) {
-    case KernelBackendKind::kDense:
-      return MakeDenseKernelBackend();
-    case KernelBackendKind::kSparse:
-      return MakeSparseFrontierBackend(options.prune_epsilon);
-  }
-  return MakeDenseKernelBackend();
+  // Exact requests ("dense") run the frontier at prune_epsilon = 0: bitwise
+  // the dense cursor after every level, at a cost that follows the
+  // frontier until a product saturates and densifies onto the dispatched
+  // Spmv.
+  return MakeSparseFrontierBackend(
+      options.backend == KernelBackendKind::kSparse ? options.prune_epsilon
+                                                    : 0.0);
 }
 
 double BinomialPruneErrorBound(const std::vector<double>& length_weights,

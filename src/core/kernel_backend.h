@@ -3,27 +3,35 @@
 /// \file kernel_backend.h
 /// \brief Pluggable single-source kernel backends.
 ///
-/// The serving engines evaluate every query through one of two
-/// interchangeable implementations of the level-vector recurrences:
+/// Two interchangeable implementations of the level-vector recurrences:
 ///
-///  * **dense** (`MakeDenseKernelBackend`) — the reference path, a thin
-///    wrapper over the allocation-free kernels in single_source_kernel.h.
-///    Bit-identical to the sequential single-source entry points.
-///  * **sparse** (`MakeSparseFrontierBackend`) — frontier propagation: each
-///    level vector is kept as a sorted (index, value) frontier
-///    (matrix/sparse_vector.h), products are computed by scattering only
-///    the CSR rows incident to the frontier, and entries with |value| <=
-///    prune_epsilon are sieved out after every product (the paper's §4.3
-///    threshold sieve applied *during* propagation). A frontier that grows
-///    past a fraction of n switches that vector to a dense representation
-///    — push/pull hybrid in the style of direction-optimizing BFS — so the
-///    backend never does more work per product than the dense path.
+///  * **dense cursor** (`MakeDenseKernelBackend`) — the reference path, a
+///    thin wrapper over the allocation-free kernels in
+///    single_source_kernel.h: every level is full passes over all n
+///    entries on the SIMD ladder. Bit-identical to the sequential
+///    single-source entry points, and the expected side of every exact
+///    identity test. No engine serves with it.
+///  * **frontier** (`MakeSparseFrontierBackend`) — each level vector is
+///    kept as a sorted (index, value) frontier (matrix/sparse_vector.h),
+///    products scatter only the CSR rows incident to the frontier, and
+///    entries with |value| <= prune_epsilon are sieved out after every
+///    product (the paper's §4.3 threshold sieve applied *during*
+///    propagation). A frontier that grows past n/4 switches that vector to
+///    a dense representation in place — push/pull hybrid in the style of
+///    direction-optimizing BFS — whose products are the dispatched Spmv.
 ///
-/// Accuracy contract: at prune_epsilon = 0 the sparse backend emits
-/// *bitwise* the dense backend's scores (asserted by
-/// tests/kernel_backend_test.cpp); at prune_epsilon > 0 it deviates in
-/// ∞-norm by at most the analytic bounds below, which propagate one
-/// epsilon of clipping per product through the series weights.
+/// `MakeKernelBackend` serves every request with the frontier: `backend:
+/// sparse` at its prune_epsilon, and `backend: dense` — the exact request —
+/// at prune_epsilon = 0. An exact row then costs what its support costs:
+/// at the paper's K = 5 on the n = 1M copying-model graph, a few thousand
+/// nonzeros instead of K full passes over a million entries.
+///
+/// Accuracy contract: at prune_epsilon = 0 the frontier's partial sums
+/// are *bitwise* the dense cursor's after every level (asserted by
+/// tests/kernel_backend_test.cpp against MakeDenseKernelBackend, and by
+/// the golden runs); at prune_epsilon > 0 it deviates in ∞-norm by at most
+/// the analytic bounds below, which propagate one epsilon of clipping per
+/// product through the series weights.
 ///
 /// Both backends consume matrices as `CsrOverlay`s (matrix/csr_overlay.h):
 /// a static snapshot is an overlay with no patches (zero-cost veneer over
@@ -149,7 +157,7 @@ class KernelBackend {
   }
 };
 
-/// The dense reference backend.
+/// The dense reference cursor (the tests' expected side; see above).
 std::shared_ptr<const KernelBackend> MakeDenseKernelBackend();
 
 /// The sparse frontier-propagation backend with the given prune epsilon
@@ -157,7 +165,9 @@ std::shared_ptr<const KernelBackend> MakeDenseKernelBackend();
 std::shared_ptr<const KernelBackend> MakeSparseFrontierBackend(
     double prune_epsilon);
 
-/// The backend selected by `options.backend` / `options.prune_epsilon`.
+/// The serving backend for `options`: the frontier at
+/// `options.prune_epsilon` for `backend: sparse`, at 0 for `backend:
+/// dense`.
 std::shared_ptr<const KernelBackend> MakeKernelBackend(
     const SimilarityOptions& options);
 

@@ -10,13 +10,14 @@
 
 namespace srs {
 
-/// \brief Which single-source kernel implementation serves queries.
+/// \brief Whether a query asks for exact or pruned scores.
 ///
-/// Backends are interchangeable behind core/kernel_backend.h and selected
-/// per query configuration; the dense backend is the bit-exact reference.
+/// Both kinds are served by the frontier backend of core/kernel_backend.h
+/// (MakeKernelBackend); the dense reference cursor is what they are
+/// tested against.
 enum class KernelBackendKind {
-  /// Dense level vectors — the reference implementation every other
-  /// backend is measured against.
+  /// Exact scores: the frontier at prune_epsilon = 0, bitwise the dense
+  /// reference cursor's, at a cost that follows each level's support.
   kDense = 0,
   /// Sparse frontier propagation: level vectors are (index, value)
   /// frontiers, entries with |value| <= prune_epsilon are sieved out after
@@ -57,7 +58,8 @@ struct SimilarityOptions {
   /// frontier entries with |value| <= prune_epsilon are dropped (the
   /// paper's threshold sieve applied *during* propagation instead of after
   /// it). Must lie in [0, 1); 0 keeps every nonzero and reproduces the
-  /// dense backend bit for bit. Ignored by the dense backend.
+  /// dense reference bit for bit. Ignored by the dense backend, which is
+  /// always exact.
   double prune_epsilon = 0.0;
 
   /// Top-k serving knob (engine/topk_engine.h): when > 0, queries are

@@ -25,10 +25,10 @@
 /// Results are bit-identical to the sequential single-source functions for
 /// any thread count, any batch composition, and any cache state (asserted
 /// by tests/query_engine_test.cpp and tests/engine_property_test.cpp).
-/// With `similarity.backend = KernelBackendKind::kSparse`, queries run
-/// through sparse frontier propagation instead: bit-identical at
-/// `prune_epsilon = 0`, and within the analytic bound of
-/// core/kernel_backend.h otherwise (tests/kernel_backend_test.cpp).
+/// Queries run through frontier propagation (core/kernel_backend.h):
+/// exactly under the default `backend: dense`, and under
+/// `KernelBackendKind::kSparse` within the analytic bound of its
+/// `prune_epsilon` (tests/kernel_backend_test.cpp).
 ///
 /// \code
 ///   SRS_ASSIGN_OR_RETURN(QueryEngine engine, QueryEngine::Create(g, opts));
@@ -75,8 +75,8 @@ int QueryMeasureTag(QueryMeasure measure);
 /// entries through this one component — which is exactly what makes their
 /// rows bit-identical and their ResultCache entries interchangeable. Any
 /// new measure, backend, or digest ingredient is added here once. The
-/// backend (dense reference or sparse frontier propagation; see
-/// core/kernel_backend.h) is selected by `similarity.backend`, and both
+/// backend (core/kernel_backend.h: the frontier, exact or pruned) is
+/// selected by `similarity.backend`, and both
 /// the backend and its prune epsilon are folded into the digests so
 /// pruned and exact answers never alias in a shared cache.
 class MeasureEvaluator {

@@ -34,7 +34,7 @@ Result<SrsClient> SrsClient::Connect(const std::string& host, int port) {
 }
 
 SrsClient::SrsClient(SrsClient&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
+    : fd_(other.fd_), reader_(std::move(other.reader_)) {
   other.fd_ = -1;
 }
 
@@ -42,7 +42,7 @@ SrsClient& SrsClient::operator=(SrsClient&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
     fd_ = other.fd_;
-    buffer_ = std::move(other.buffer_);
+    reader_ = std::move(other.reader_);
     other.fd_ = -1;
   }
   return *this;
@@ -53,39 +53,13 @@ SrsClient::~SrsClient() {
 }
 
 Status SrsClient::SendLine(const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n = ::send(fd_, framed.data() + sent,
-                             framed.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  return WriteLine(fd_, line);
 }
 
 Result<std::string> SrsClient::ReadLine() {
-  while (true) {
-    const size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line(buffer_, 0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (got == 0) return Status::IoError("connection closed by server");
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("recv: ") + std::strerror(errno));
-    }
-    buffer_.append(chunk, static_cast<size_t>(got));
-  }
+  std::string line;
+  SRS_RETURN_NOT_OK(reader_.ReadLine(&line));
+  return line;
 }
 
 Result<JsonValue> SrsClient::Call(const JsonValue& request) {

@@ -22,6 +22,7 @@
 
 #include "srs/common/json.h"
 #include "srs/common/result.h"
+#include "srs/server/line_io.h"
 
 namespace srs {
 
@@ -47,10 +48,10 @@ class SrsClient {
   Result<std::string> ReadLine();
 
  private:
-  explicit SrsClient(int fd) : fd_(fd) {}
+  explicit SrsClient(int fd) : fd_(fd), reader_(fd) {}
 
   int fd_ = -1;
-  std::string buffer_;
+  LineReader reader_;
 };
 
 }  // namespace srs

@@ -213,11 +213,13 @@ JsonValue EncodeQueryResponse(const JsonValue& id,
   out.Set("ranked", response.ranked);
   out.Set("engine_reused", response.engine_reused);
   JsonValue rows = JsonValue::MakeArray();
+  rows.array().reserve(response.rows.size());
   for (const QueryRowResult& row : response.rows) {
     JsonValue r = JsonValue::MakeObject();
     r.Set("source", static_cast<int64_t>(row.source));
     if (response.ranked) {
       JsonValue ranking = JsonValue::MakeArray();
+      ranking.array().reserve(row.ranking.size());
       for (const RankedNode& entry : row.ranking) {
         JsonValue e = JsonValue::MakeObject();
         e.Set("node", static_cast<int64_t>(entry.node));
@@ -231,6 +233,7 @@ JsonValue EncodeQueryResponse(const JsonValue& id,
       r.Set("served_from_cache", row.served_from_cache);
     } else {
       JsonValue scores = JsonValue::MakeArray();
+      scores.array().reserve(row.scores.size());
       for (double s : row.scores) scores.Append(s);
       r.Set("scores", std::move(scores));
     }

@@ -13,40 +13,11 @@
 #include "srs/common/hashing.h"
 #include "srs/observability/instruments.h"
 #include "srs/observability/metrics.h"
+#include "srs/server/line_io.h"
 
 namespace srs {
 
 namespace {
-
-/// Buffered reader of '\n'-terminated lines from a socket.
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  /// Fills `*line` (without the terminator); false on EOF or error.
-  bool ReadLine(std::string* line) {
-    while (true) {
-      const size_t newline = buffer_.find('\n', scanned_);
-      if (newline != std::string::npos) {
-        line->assign(buffer_, 0, newline);
-        buffer_.erase(0, newline + 1);
-        scanned_ = 0;
-        if (!line->empty() && line->back() == '\r') line->pop_back();
-        return true;
-      }
-      scanned_ = buffer_.size();
-      char chunk[4096];
-      const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (got <= 0) return false;
-      buffer_.append(chunk, static_cast<size_t>(got));
-    }
-  }
-
- private:
-  int fd_;
-  std::string buffer_;
-  size_t scanned_ = 0;
-};
 
 /// The coalescing key: measure × options digest × pinned version. Entries
 /// agreeing on the key are exactly the ones one engine batch can serve.
@@ -168,7 +139,7 @@ void SrsServer::HandleConnection(int fd) {
   LineReader reader(fd);
   std::string line;
   bool keep_going = true;
-  while (keep_going && reader.ReadLine(&line)) {
+  while (keep_going && reader.ReadLine(&line).ok()) {
     if (line.empty()) continue;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -405,22 +376,6 @@ void SrsServer::CountResponse(bool ok) {
   } else {
     ++stats_.responses_error;
   }
-}
-
-Status SrsServer::WriteLine(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("send: ") + std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
 }
 
 ServerStats SrsServer::Stats() const {

@@ -129,7 +129,6 @@ class SrsServer {
   void HandleQuery(int fd, ProtocolRequest request);
 
   void CountResponse(bool ok);
-  Status WriteLine(int fd, const std::string& line);
 
   SrsService* service_;
   ServerOptions options_;

@@ -1,7 +1,11 @@
 // Property tests for the pluggable kernel backends (core/kernel_backend.h):
 //  * at prune_epsilon = 0 the sparse frontier backend is BITWISE identical
-//    to the dense reference, across random graphs, all three measures, and
-//    multiple thread counts — through both QueryEngine and AllPairsEngine;
+//    to the dense reference cursor, across random graphs, all three
+//    measures, and multiple thread counts — through both QueryEngine and
+//    AllPairsEngine, and after every level of the stepwise cursor. Exact
+//    engine requests (backend "dense") are served by that frontier too, so
+//    the expected side is always the dense cursor itself
+//    (MakeDenseKernelBackend), never another engine;
 //  * at prune_epsilon > 0 it deviates by at most the analytic ∞-norm bound
 //    derived from the epsilon, the series weights, and the transition
 //    matrices' row sums;
@@ -13,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "srs/core/single_source_kernel.h"
@@ -53,6 +58,61 @@ SimilarityOptions BaseOptions() {
   return sim;
 }
 
+/// One measure's column recurrence with the depth and weights the engines
+/// derive from `sim`, runnable stepwise on any backend.
+struct Column {
+  Column(QueryMeasure m, const SimilarityOptions& sim)
+      : measure(m),
+        damping(sim.damping),
+        k_max(EffectiveIterations(
+            sim, m == QueryMeasure::kSimRankStarExponential)),
+        weights(m == QueryMeasure::kSimRankStarExponential
+                    ? ExponentialStarLengthWeights(sim.damping, k_max)
+                    : GeometricStarLengthWeights(sim.damping, k_max)) {}
+
+  PartialColumnEvaluation* Begin(const KernelBackend& backend,
+                                 const GraphSnapshot& snap, NodeId query,
+                                 KernelWorkspace* ws,
+                                 std::vector<double>* out) const {
+    if (measure == QueryMeasure::kRwr) {
+      return backend.BeginRwrColumn(snap.wt, snap.w, query, damping, k_max,
+                                    ws, out);
+    }
+    return backend.BeginBinomialColumn(snap.q, snap.qt, query, weights, ws,
+                                       out);
+  }
+
+  QueryMeasure measure;
+  double damping;
+  int k_max;
+  std::vector<double> weights;
+};
+
+/// Full rows from the dense reference cursor, drained — the expected side
+/// of every exact-identity check here.
+std::vector<std::vector<double>> DenseCursorRows(
+    const Graph& g, QueryMeasure measure, const SimilarityOptions& sim,
+    const std::vector<NodeId>& batch) {
+  const std::shared_ptr<const GraphSnapshot> snap = MakeGraphSnapshot(g);
+  const std::shared_ptr<const KernelBackend> dense = MakeDenseKernelBackend();
+  const std::unique_ptr<KernelWorkspace> ws = dense->NewWorkspace();
+  const Column column(measure, sim);
+  std::vector<std::vector<double>> rows(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    PartialColumnEvaluation* eval =
+        column.Begin(*dense, *snap, batch[i], ws.get(), &rows[i]);
+    while (eval->AdvanceLevel()) {
+    }
+  }
+  return rows;
+}
+
+bool BitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
 /// The analytic |sparse − dense| bound for `measure` on `g` (plus a tiny
 /// slack for floating-point rounding, which the bound does not model).
 double BoundFor(const Graph& g, QueryMeasure measure,
@@ -79,32 +139,70 @@ double BoundFor(const Graph& g, QueryMeasure measure,
 
 TEST(KernelBackendTest, SparseBitIdenticalToDenseAtZeroEpsilon) {
   for (const Graph& g : RandomCorpus()) {
-    SimilarityOptions sim = BaseOptions();
-    QueryEngineOptions dense_opts;
-    dense_opts.similarity = sim;
-    QueryEngine dense = QueryEngine::Create(g, dense_opts).MoveValueOrDie();
+    const SimilarityOptions sim = BaseOptions();
     const std::vector<NodeId> batch = AllNodes(g);
-    for (int threads : {1, 4}) {
-      QueryEngineOptions sparse_opts;
-      sparse_opts.similarity = sim;
-      sparse_opts.similarity.backend = KernelBackendKind::kSparse;
-      sparse_opts.similarity.prune_epsilon = 0.0;
-      sparse_opts.num_threads = threads;
-      QueryEngine sparse =
-          QueryEngine::Create(g, sparse_opts).MoveValueOrDie();
-      for (QueryMeasure measure : kAllMeasures) {
-        const auto want = dense.BatchScores(measure, batch).ValueOrDie();
-        const auto got = sparse.BatchScores(measure, batch).ValueOrDie();
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-          ASSERT_EQ(got[i].size(), want[i].size());
-          for (size_t j = 0; j < want[i].size(); ++j) {
-            // Bitwise, not approximate: the sparse backend replays the
-            // dense operation order exactly when nothing is pruned.
-            ASSERT_EQ(got[i][j], want[i][j])
+    for (QueryMeasure measure : kAllMeasures) {
+      const auto want = DenseCursorRows(g, measure, sim, batch);
+      for (int threads : {1, 4}) {
+        // Both exact routes: backend "dense" (served by the frontier at 0)
+        // and "sparse" with prune_epsilon = 0.
+        for (KernelBackendKind kind :
+             {KernelBackendKind::kDense, KernelBackendKind::kSparse}) {
+          QueryEngineOptions opts;
+          opts.similarity = sim;
+          opts.similarity.backend = kind;
+          opts.similarity.prune_epsilon = 0.0;
+          opts.num_threads = threads;
+          QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
+          const auto got = engine.BatchScores(measure, batch).ValueOrDie();
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < batch.size(); ++i) {
+            // Bitwise, not approximate: the frontier replays the dense
+            // operation order exactly when nothing is pruned.
+            ASSERT_TRUE(BitEqual(got[i], want[i]))
                 << QueryMeasureToString(measure) << " threads=" << threads
-                << " query=" << batch[i] << " node=" << j;
+                << " backend=" << KernelBackendKindToString(kind)
+                << " query=" << batch[i];
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBackendTest, ServingRouteMatchesDenseCursorAfterEveryLevel) {
+  // Exact requests are served by MakeKernelBackend({backend: dense}), the
+  // frontier at prune_epsilon = 0. Its partial vector must be bitwise the
+  // dense cursor's after Begin and after every AdvanceLevel: top-k early
+  // termination decides on those partial sums, so this is what keeps its
+  // levels_evaluated and rankings unchanged. The corpus covers frontiers
+  // that stay tiny (path, star) and ones that saturate past n/4 and
+  // densify mid-series (R-MAT, cliques).
+  const std::shared_ptr<const KernelBackend> dense = MakeDenseKernelBackend();
+  const SimilarityOptions sim = BaseOptions();
+  const std::shared_ptr<const KernelBackend> served = MakeKernelBackend(sim);
+  const std::unique_ptr<KernelWorkspace> served_ws = served->NewWorkspace();
+  const std::unique_ptr<KernelWorkspace> dense_ws = dense->NewWorkspace();
+  for (const Graph& g : RandomCorpus()) {
+    const std::shared_ptr<const GraphSnapshot> snap = MakeGraphSnapshot(g);
+    for (QueryMeasure measure : kAllMeasures) {
+      const Column column(measure, sim);
+      for (NodeId q : AllNodes(g)) {
+        std::vector<double> got;
+        std::vector<double> want;
+        PartialColumnEvaluation* a =
+            column.Begin(*served, *snap, q, served_ws.get(), &got);
+        PartialColumnEvaluation* b =
+            column.Begin(*dense, *snap, q, dense_ws.get(), &want);
+        ASSERT_EQ(a->MaxLevel(), b->MaxLevel());
+        while (true) {
+          ASSERT_EQ(a->Level(), b->Level());
+          ASSERT_TRUE(BitEqual(got, want))
+              << QueryMeasureToString(measure) << " query=" << q
+              << " level=" << a->Level();
+          const bool more = a->AdvanceLevel();
+          ASSERT_EQ(more, b->AdvanceLevel());
+          if (!more) break;
         }
       }
     }
@@ -116,10 +214,6 @@ TEST(KernelBackendTest, SparseMatchesDenseWithinAnalyticBound) {
     const std::vector<NodeId> batch = AllNodes(g);
     for (double eps : {1e-2, 1e-4}) {
       SimilarityOptions sim = BaseOptions();
-      QueryEngineOptions dense_opts;
-      dense_opts.similarity = sim;
-      QueryEngine dense = QueryEngine::Create(g, dense_opts).MoveValueOrDie();
-
       QueryEngineOptions sparse_opts;
       sparse_opts.similarity = sim;
       sparse_opts.similarity.backend = KernelBackendKind::kSparse;
@@ -130,7 +224,7 @@ TEST(KernelBackendTest, SparseMatchesDenseWithinAnalyticBound) {
 
       for (QueryMeasure measure : kAllMeasures) {
         const double bound = BoundFor(g, measure, sparse_opts.similarity);
-        const auto want = dense.BatchScores(measure, batch).ValueOrDie();
+        const auto want = DenseCursorRows(g, measure, sim, batch);
         const auto got = sparse.BatchScores(measure, batch).ValueOrDie();
         for (size_t i = 0; i < batch.size(); ++i) {
           for (size_t j = 0; j < want[i].size(); ++j) {
@@ -147,25 +241,28 @@ TEST(KernelBackendTest, SparseMatchesDenseWithinAnalyticBound) {
 TEST(KernelBackendTest, AllPairsSparseRowsBitIdenticalAtZeroEpsilon) {
   const Graph g = Rmat(48, 260, 21).ValueOrDie();
   SimilarityOptions sim = BaseOptions();
-  QueryEngineOptions qopts;
-  qopts.similarity = sim;
-  QueryEngine reference = QueryEngine::Create(g, qopts).MoveValueOrDie();
   const std::vector<NodeId> sources = AllNodes(g);
   for (QueryMeasure measure : kAllMeasures) {
-    const auto want = reference.BatchScores(measure, sources).ValueOrDie();
-    for (int tile : {3, 32}) {
-      AllPairsOptions aopts;
-      aopts.similarity = sim;
-      aopts.similarity.backend = KernelBackendKind::kSparse;
-      aopts.tile_size = tile;
-      aopts.num_threads = 2;
-      AllPairsEngine engine = AllPairsEngine::Create(g, aopts).MoveValueOrDie();
-      const DenseMatrix rows = engine.ComputeRows(measure, sources).ValueOrDie();
-      for (size_t i = 0; i < sources.size(); ++i) {
-        for (int64_t v = 0; v < g.NumNodes(); ++v) {
-          ASSERT_EQ(rows.At(static_cast<int64_t>(i), v), want[i][v])
-              << QueryMeasureToString(measure) << " tile=" << tile
-              << " source=" << sources[i] << " node=" << v;
+    const auto want = DenseCursorRows(g, measure, sim, sources);
+    for (KernelBackendKind kind :
+         {KernelBackendKind::kDense, KernelBackendKind::kSparse}) {
+      for (int tile : {3, 32}) {
+        AllPairsOptions aopts;
+        aopts.similarity = sim;
+        aopts.similarity.backend = kind;
+        aopts.tile_size = tile;
+        aopts.num_threads = 2;
+        AllPairsEngine engine =
+            AllPairsEngine::Create(g, aopts).MoveValueOrDie();
+        const DenseMatrix rows =
+            engine.ComputeRows(measure, sources).ValueOrDie();
+        for (size_t i = 0; i < sources.size(); ++i) {
+          const double* row = rows.Row(static_cast<int64_t>(i));
+          ASSERT_TRUE(BitEqual(std::vector<double>(row, row + g.NumNodes()),
+                               want[i]))
+              << QueryMeasureToString(measure)
+              << " backend=" << KernelBackendKindToString(kind)
+              << " tile=" << tile << " source=" << sources[i];
         }
       }
     }

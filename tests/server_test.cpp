@@ -1,5 +1,6 @@
-// Tests for the serving stack, bottom-up: the JSON codec (common/json.h),
-// the wire protocol codec (server/protocol.h), the AdmissionQueue's
+// Tests for the serving stack, bottom-up: the JSON codec (common/json.h)
+// and its value semantics, the line transport (server/line_io.h), the
+// wire protocol codec (server/protocol.h), the AdmissionQueue's
 // coalescing / backpressure / expiry semantics in isolation, and the full
 // SrsServer over real TCP connections — concurrent clients, coalescing
 // observed via queue stats, deadline_expired and overload statuses, and a
@@ -7,6 +8,9 @@
 //
 // Runs in the fast lane and again under TSan (LABELS "tsan"): the server
 // is the repo's most thread-dense component.
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -27,6 +31,7 @@
 #include "srs/graph/generators.h"
 #include "srs/server/admission_queue.h"
 #include "srs/server/client.h"
+#include "srs/server/line_io.h"
 #include "srs/server/protocol.h"
 #include "srs/server/server.h"
 
@@ -134,6 +139,74 @@ TEST(JsonTest, FindComposesWithoutKindChecks) {
   EXPECT_EQ(doc.Find("missing"), nullptr);
   // Find on a non-object composes to "absent" instead of crashing.
   EXPECT_EQ(doc.Find("a")->Find("b")->Find("c"), nullptr);
+}
+
+// A full score row is an array of ~n values, so the per-value footprint is
+// the cost of building and parsing one.
+static_assert(sizeof(JsonValue) <= 16, "JsonValue must stay 16 bytes");
+
+TEST(JsonTest, ValueSemanticsAreDeepCopiesAndStealingMoves) {
+  JsonValue list = JsonValue::MakeArray();
+  list.Append(1.5);
+  list.Append("text");
+  JsonValue inner = JsonValue::MakeObject();
+  inner.Set("k", list);  // copy: `list` stays usable
+  JsonValue doc = JsonValue::MakeObject();
+  doc.Set("list", std::move(list));
+  EXPECT_TRUE(list.is_null()) << "a moved-from value is null";
+  doc.Set("obj", std::move(inner));
+  doc.Set("flag", true);
+  const std::string encoded = doc.Encode();
+  EXPECT_EQ(encoded,
+            "{\"list\":[1.5,\"text\"],\"obj\":{\"k\":[1.5,\"text\"]},"
+            "\"flag\":true}");
+
+  // Copies are deep at every depth: mutating one leaves the other intact.
+  JsonValue copy = doc;
+  copy.object()[0].second.array()[0] = JsonValue(9.0);
+  copy.object()[1].second.object()[0].second.Append(JsonValue());
+  EXPECT_EQ(doc.Encode(), encoded);
+  EXPECT_EQ(copy.Encode(),
+            "{\"list\":[9,\"text\"],\"obj\":{\"k\":[1.5,\"text\",null]},"
+            "\"flag\":true}");
+
+  // Copy assignment over a live value; self-assignment and self-move are
+  // no-ops.
+  JsonValue assigned("replaced");
+  assigned = doc;
+  EXPECT_EQ(assigned.Encode(), encoded);
+  JsonValue& alias = assigned;
+  assigned = alias;
+  EXPECT_EQ(assigned.Encode(), encoded);
+  assigned = std::move(alias);
+  EXPECT_EQ(assigned.Encode(), encoded);
+
+  // Moves transfer the tree; Find works on the moved-to object.
+  JsonValue moved(std::move(copy));
+  EXPECT_TRUE(copy.is_null());
+  JsonValue target = JsonValue::MakeArray();
+  target = std::move(moved);
+  EXPECT_TRUE(moved.is_null());
+  ASSERT_NE(target.Find("list"), nullptr);
+  EXPECT_EQ(target.Find("list")->array()[0].AsNumber(), 9.0);
+  EXPECT_EQ(target.Find("obj")->Find("k")->array().size(), 3u);
+  EXPECT_EQ(target.Find("missing"), nullptr);
+  EXPECT_EQ(moved.Find("list"), nullptr);
+
+  // Assigning a value from inside its own tree, by move and by copy.
+  JsonValue tree = doc;
+  tree = std::move(tree.object()[0].second);
+  EXPECT_EQ(tree.Encode(), "[1.5,\"text\"]");
+  JsonValue tree2 = doc;
+  tree2 = tree2.object()[1].second;
+  EXPECT_EQ(tree2.Encode(), "{\"k\":[1.5,\"text\"]}");
+
+  // Strings copy deeply too.
+  JsonValue s("abc");
+  JsonValue s2 = s;
+  s2 = JsonValue(2.0);
+  EXPECT_EQ(s.AsString(), "abc");
+  EXPECT_EQ(s2.AsNumber(), 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -702,6 +775,53 @@ TEST(ServerTest, ShutdownOpDrainsAndStopsTheServer) {
   server->Wait();
   EXPECT_TRUE(server->ShutdownRequested());
   EXPECT_GE(server->Stats().responses_ok, 2u);
+}
+
+TEST(LineIoTest, MultiMegabyteLineThenASecondLineInTheSameBuffer) {
+  // A ~3 MB line spans dozens of recvs; its "\r\n" and the whole second
+  // line arrive together in the last one. The terminator search must
+  // resume where it stopped, strip the '\r', and keep the second line.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string big(size_t{3} << 20, 'x');
+  std::thread writer([&] {
+    EXPECT_TRUE(WriteLine(fds[1], big + "\r\nsecond").ok());
+    ::close(fds[1]);
+  });
+  LineReader reader(fds[0]);
+  std::string line;
+  ASSERT_TRUE(reader.ReadLine(&line).ok());
+  EXPECT_EQ(line.size(), big.size());
+  EXPECT_TRUE(line == big);
+  ASSERT_TRUE(reader.ReadLine(&line).ok());
+  EXPECT_EQ(line, "second");
+  writer.join();
+  EXPECT_TRUE(reader.ReadLine(&line).IsIoError()) << "end of stream";
+  ::close(fds[0]);
+}
+
+TEST(ServerTest, MultiMegabyteLinesCrossTheWireBothWays) {
+  // One send carries a ~3 MB request line ending in "\r\n" and a second
+  // request right behind it; the server echoes the 3 MB id back, so the
+  // client reads a multi-MB reply with the second reply queued behind it.
+  std::unique_ptr<SrsService> service = MakeService(Fig1CitationGraph());
+  std::unique_ptr<SrsServer> server =
+      SrsServer::Start(service.get()).MoveValueOrDie();
+  SrsClient client =
+      SrsClient::Connect("127.0.0.1", server->port()).MoveValueOrDie();
+  const std::string big_id(size_t{3} << 20, 'y');
+  ASSERT_TRUE(client
+                  .SendLine("{\"op\":\"stats\",\"id\":\"" + big_id +
+                            "\"}\r\n{\"op\":\"stats\",\"id\":2}")
+                  .ok());
+  const JsonValue first =
+      ParseJson(client.ReadLine().ValueOrDie()).ValueOrDie();
+  EXPECT_EQ(StatusOf(first), kStatusOk);
+  EXPECT_TRUE(first.Find("id")->AsString() == big_id);
+  const JsonValue second =
+      ParseJson(client.ReadLine().ValueOrDie()).ValueOrDie();
+  EXPECT_EQ(StatusOf(second), kStatusOk);
+  EXPECT_EQ(second.Find("id")->AsNumber(), 2.0);
 }
 
 }  // namespace

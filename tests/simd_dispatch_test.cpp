@@ -15,6 +15,7 @@
 #include "srs/common/cpu_features.h"
 #include "srs/common/rng.h"
 #include "srs/core/kernel_backend.h"
+#include "srs/core/single_source.h"
 #include "srs/core/single_source_kernel.h"
 #include "srs/engine/query_engine.h"
 #include "srs/engine/snapshot.h"
@@ -419,39 +420,56 @@ TEST_F(SimdDispatchTest, RwrKernelBitIdenticalAcrossLevels) {
 }
 
 TEST_F(SimdDispatchTest, FullQueriesBitIdenticalAcrossLevels) {
-  // End to end through QueryEngine: dense and sparse backends, all
-  // measures, at every rung of the ladder.
+  // End to end at every rung of the ladder, all measures: the sequential
+  // dense cursor (SingleSource*) and QueryEngine's two exact routes —
+  // backend "dense", which the frontier serves at prune_epsilon = 0, and
+  // "sparse" at 0 — must all reproduce the dense cursor's rows at the
+  // reference rung.
   const Graph g = Rmat(70, 420, 61).ValueOrDie();
   std::vector<NodeId> batch(static_cast<size_t>(g.NumNodes()));
   std::iota(batch.begin(), batch.end(), NodeId{0});
+  SimilarityOptions sim;
+  sim.damping = 0.6;
+  sim.iterations = 8;
+  const auto dense_cursor = [&](QueryMeasure measure, NodeId q) {
+    switch (measure) {
+      case QueryMeasure::kSimRankStarGeometric:
+        return SingleSourceSimRankStarGeometric(g, q, sim).ValueOrDie();
+      case QueryMeasure::kSimRankStarExponential:
+        return SingleSourceSimRankStarExponential(g, q, sim).ValueOrDie();
+      case QueryMeasure::kRwr:
+        break;
+    }
+    return SingleSourceRwr(g, q, sim).ValueOrDie();
+  };
   constexpr QueryMeasure kMeasures[] = {QueryMeasure::kSimRankStarGeometric,
                                         QueryMeasure::kSimRankStarExponential,
                                         QueryMeasure::kRwr};
-  for (const bool sparse : {false, true}) {
-    SimilarityOptions sim;
-    sim.damping = 0.6;
-    sim.iterations = 8;
-    if (sparse) {
-      sim.backend = KernelBackendKind::kSparse;
-      sim.prune_epsilon = 0.0;
-    }
-    QueryEngineOptions opts;
-    opts.similarity = sim;
-    for (QueryMeasure measure : kMeasures) {
-      std::vector<std::vector<double>> want;
-      for (SimdLevel level : LadderOnThisMachine()) {
-        SetSimdLevelForTesting(level);
+  for (QueryMeasure measure : kMeasures) {
+    SetSimdLevelForTesting(SimdLevel::kReference);
+    std::vector<std::vector<double>> want;
+    for (NodeId q : batch) want.push_back(dense_cursor(measure, q));
+    for (SimdLevel level : LadderOnThisMachine()) {
+      SetSimdLevelForTesting(level);
+      for (NodeId q : batch) {
+        EXPECT_TRUE(BitEqual(dense_cursor(measure, q),
+                             want[static_cast<size_t>(q)]))
+            << SimdLevelName(level) << " dense cursor query=" << q;
+      }
+      for (const KernelBackendKind kind :
+           {KernelBackendKind::kDense, KernelBackendKind::kSparse}) {
+        QueryEngineOptions opts;
+        opts.similarity = sim;
+        opts.similarity.backend = kind;
+        opts.similarity.prune_epsilon = 0.0;
         QueryEngine engine = QueryEngine::Create(g, opts).MoveValueOrDie();
         const auto got = engine.BatchScores(measure, batch).ValueOrDie();
-        if (level == SimdLevel::kReference) {
-          want = got;
-        } else {
-          ASSERT_EQ(got.size(), want.size());
-          for (size_t i = 0; i < got.size(); ++i) {
-            EXPECT_TRUE(BitEqual(got[i], want[i]))
-                << SimdLevelName(level) << " sparse=" << sparse
-                << " query=" << batch[i];
-          }
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_TRUE(BitEqual(got[i], want[i]))
+              << SimdLevelName(level)
+              << " backend=" << KernelBackendKindToString(kind)
+              << " query=" << batch[i];
         }
       }
     }

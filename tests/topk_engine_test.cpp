@@ -17,6 +17,7 @@
 
 #include <cmath>
 
+#include "srs/core/single_source.h"
 #include "srs/core/single_source_kernel.h"
 #include "srs/core/topk.h"
 #include "srs/engine/query_engine.h"
@@ -55,15 +56,35 @@ SimilarityOptions BaseOptions() {
   return sim;
 }
 
+/// Full-accuracy rows from the sequential dense reference cursor. The
+/// engines' exact route runs the frontier backend, so the expected side
+/// comes from the cursor, not from another engine.
+std::vector<std::vector<double>> DenseCursorRows(
+    const Graph& g, QueryMeasure measure, const std::vector<NodeId>& batch) {
+  std::vector<std::vector<double>> rows;
+  for (NodeId q : batch) {
+    switch (measure) {
+      case QueryMeasure::kSimRankStarGeometric:
+        rows.push_back(
+            SingleSourceSimRankStarGeometric(g, q, BaseOptions()).ValueOrDie());
+        break;
+      case QueryMeasure::kSimRankStarExponential:
+        rows.push_back(SingleSourceSimRankStarExponential(g, q, BaseOptions())
+                           .ValueOrDie());
+        break;
+      case QueryMeasure::kRwr:
+        rows.push_back(SingleSourceRwr(g, q, BaseOptions()).ValueOrDie());
+        break;
+    }
+  }
+  return rows;
+}
+
 TEST(TopKEngineTest, ExactSetAndOrderAcrossCorpus) {
   for (const Graph& g : RandomCorpus()) {
     const std::vector<NodeId> batch = AllNodes(g);
-    // Full-accuracy reference rows from the dense QueryEngine.
-    QueryEngineOptions ref_opts;
-    ref_opts.similarity = BaseOptions();
-    QueryEngine reference = QueryEngine::Create(g, ref_opts).MoveValueOrDie();
     for (QueryMeasure measure : kAllMeasures) {
-      const auto full_rows = reference.BatchScores(measure, batch).ValueOrDie();
+      const auto full_rows = DenseCursorRows(g, measure, batch);
       for (KernelBackendKind backend :
            {KernelBackendKind::kDense, KernelBackendKind::kSparse}) {
         for (int threads : {1, 4}) {
@@ -111,26 +132,24 @@ TEST(TopKEngineTest, ExactSetAndOrderAcrossCorpus) {
 TEST(TopKEngineTest, DisabledEarlyTerminationIsBitwiseFullRowSort) {
   for (const Graph& g : RandomCorpus()) {
     const std::vector<NodeId> batch = AllNodes(g);
-    QueryEngineOptions ref_opts;
-    ref_opts.similarity = BaseOptions();
-    QueryEngine reference = QueryEngine::Create(g, ref_opts).MoveValueOrDie();
     TopKEngineOptions opts;
     opts.similarity = BaseOptions();
     opts.similarity.top_k = 5;
     opts.similarity.topk_early_termination = false;
     TopKEngine engine = TopKEngine::Create(g, opts).MoveValueOrDie();
     for (QueryMeasure measure : kAllMeasures) {
-      const auto want = reference.BatchTopK(measure, batch, 5).ValueOrDie();
+      const auto rows = DenseCursorRows(g, measure, batch);
       const auto got = engine.BatchTopK(measure, batch).ValueOrDie();
       for (size_t i = 0; i < batch.size(); ++i) {
-        ASSERT_EQ(got[i].ranking.size(), want[i].size());
+        const auto want_i = TopK(rows[i], 5, batch[i]);
+        ASSERT_EQ(got[i].ranking.size(), want_i.size());
         ASSERT_EQ(got[i].levels_evaluated, got[i].levels_total);
         ASSERT_EQ(got[i].residual_bound, 0.0);
-        for (size_t r = 0; r < want[i].size(); ++r) {
-          ASSERT_EQ(got[i].ranking[r].node, want[i][r].node);
-          // Bitwise: the drained stepwise cursor performs exactly the
-          // one-shot kernel's operations.
-          ASSERT_EQ(got[i].ranking[r].score, want[i][r].score)
+        for (size_t r = 0; r < want_i.size(); ++r) {
+          ASSERT_EQ(got[i].ranking[r].node, want_i[r].node);
+          // Bitwise: the drained stepwise frontier performs exactly the
+          // dense cursor's operations.
+          ASSERT_EQ(got[i].ranking[r].score, want_i[r].score)
               << QueryMeasureToString(measure) << " query=" << batch[i]
               << " rank=" << r;
         }

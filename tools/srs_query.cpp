@@ -21,7 +21,7 @@
 // tile by tile through the AllPairsEngine (rows restricted to
 // --sources-file when given, the whole graph otherwise); simrank/prank
 // fall back to their dense all-pairs algorithms. --backend selects the
-// kernel backend for the engine measures: "dense" (bit-exact reference) or
+// kernel backend for the engine measures: "dense" (exact scores) or
 // "sparse" frontier propagation, which sieves entries <= --prune-eps at
 // every product (0 = bit-identical to dense; 1e-4 is the paper's sieve).
 // --cache-mb enables a sharded LRU result cache shared by all engines —
