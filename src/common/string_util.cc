@@ -1,7 +1,11 @@
 #include "srs/common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <system_error>
 
 namespace srs {
 
@@ -51,6 +55,52 @@ std::string Join(const std::vector<std::string>& pieces,
     out += pieces[i];
   }
   return out;
+}
+
+bool ParseIntFlag(const char* flag, const char* value, long long min_value,
+                  long long max_value, long long* out) {
+  if (value == nullptr) {
+    std::fprintf(stderr, "%s requires a value\n", flag);
+    return false;
+  }
+  const char* end = value + std::strlen(value);
+  long long parsed = 0;
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "%s: expected an integer, got '%s'\n", flag, value);
+    return false;
+  }
+  if (parsed < min_value || parsed > max_value) {
+    std::fprintf(stderr, "%s: %lld out of range [%lld, %lld]\n", flag,
+                 parsed, min_value, max_value);
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+bool ParseIntFlag(const char* flag, const char* value, long long min_value,
+                  long long max_value, int* out) {
+  long long wide = 0;
+  if (!ParseIntFlag(flag, value, min_value, max_value, &wide)) return false;
+  *out = static_cast<int>(wide);
+  return true;
+}
+
+bool ParseDoubleFlag(const char* flag, const char* value, double* out) {
+  if (value == nullptr) {
+    std::fprintf(stderr, "%s requires a value\n", flag);
+    return false;
+  }
+  const char* end = value + std::strlen(value);
+  double parsed = 0.0;
+  const auto [ptr, ec] = std::from_chars(value, end, parsed);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag, value);
+    return false;
+  }
+  *out = parsed;
+  return true;
 }
 
 }  // namespace srs

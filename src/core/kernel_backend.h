@@ -49,7 +49,10 @@
 /// adds one level per AdvanceLevel() so the TopKEngine
 /// (engine/topk_engine.h) can stop as soon as its residual bounds
 /// (core/topk.h) prove the top-k. The one-shot forms are implemented as a
-/// fully drained cursor, so the two can never diverge.
+/// fully drained cursor, so the two can never diverge. A stepwise caller
+/// can also ask the cursor which output entries are nonzero
+/// (PartialColumnEvaluation::Support), so that its own per-level work
+/// follows the row's support instead of all n entries.
 
 #include <memory>
 #include <vector>
@@ -94,6 +97,23 @@ class PartialColumnEvaluation {
   /// Accumulates level Level()+1 into the output vector; returns false
   /// (and does nothing) once the series is exhausted.
   virtual bool AdvanceLevel() = 0;
+
+  /// The output vector's support: every index whose entry is nonzero,
+  /// each exactly once, in the order the entries turned nonzero — or null
+  /// when the cursor cannot say. Every level term is non-negative, so an
+  /// entry turns nonzero at most once and then stays nonzero; every index
+  /// outside the list holds exactly +0.0. The frontier records the list
+  /// from Begin* on and stops for the rest of the column as soon as any
+  /// level vector densifies (a dense add touches all n entries); the
+  /// dense cursor never records one. Valid until the next AdvanceLevel()
+  /// or Begin* on the same workspace.
+  virtual const std::vector<int32_t>* Support() const { return nullptr; }
+
+  /// Stops recording the support for the rest of the column (Support()
+  /// returns null from here on). The one-shot forms call it: no full-row
+  /// caller reads the support, and recording it costs a few percent of a
+  /// sparse row.
+  virtual void SkipSupport() {}
 };
 
 /// \brief One implementation of the single-source recurrences.
@@ -141,6 +161,7 @@ class KernelBackend {
                                 std::vector<double>* out) const {
     PartialColumnEvaluation* eval =
         BeginBinomialColumn(q, qt, query, length_weights, workspace, out);
+    eval->SkipSupport();
     while (eval->AdvanceLevel()) {
     }
   }
@@ -152,6 +173,7 @@ class KernelBackend {
                  std::vector<double>* out) const {
     PartialColumnEvaluation* eval =
         BeginRwrColumn(wt, w, query, damping, k_max, workspace, out);
+    eval->SkipSupport();
     while (eval->AdvanceLevel()) {
     }
   }

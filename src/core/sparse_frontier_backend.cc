@@ -69,6 +69,46 @@ struct SparseFrontierWorkspace final : KernelWorkspace,
   int Level() const override { return cur_level; }
   int MaxLevel() const override { return max_level; }
   bool AdvanceLevel() override;
+  const std::vector<int32_t>* Support() const override {
+    return support_valid ? &support : nullptr;
+  }
+  void SkipSupport() override { support_valid = false; }
+
+  /// Resets the output's support list; called by Begin* before level 0.
+  void StartSupport() {
+    support.clear();
+    support_valid = true;
+  }
+
+  /// *out += coeff · v, touching only live entries of a sparse v. Sparse
+  /// entries are added in ascending index order — the same per-entry
+  /// operation sequence as the dense Axpy, whose skipped terms are exact
+  /// `+= coeff * 0.0` no-ops. While the support is recorded, an index is
+  /// appended when its entry goes from 0 to nonzero: the transition, not
+  /// the touch, so a term that underflows to 0 records nothing and no
+  /// index is recorded twice. A dense v ends the recording.
+  void AddScaled(double coeff, const HybridVector& v) {
+    std::vector<double>& o = *out;
+    if (v.dense) {
+      support_valid = false;
+      Axpy(coeff, v.vec, out);
+      return;
+    }
+    const size_t nnz = v.sv.idx.size();
+    if (!support_valid) {
+      for (size_t i = 0; i < nnz; ++i) {
+        o[static_cast<size_t>(v.sv.idx[i])] += coeff * v.sv.val[i];
+      }
+      return;
+    }
+    for (size_t i = 0; i < nnz; ++i) {
+      const int32_t j = v.sv.idx[i];
+      const double before = o[static_cast<size_t>(j)];
+      const double after = before + coeff * v.sv.val[i];
+      o[static_cast<size_t>(j)] = after;
+      if (before == 0.0 && after != 0.0) support.push_back(j);
+    }
+  }
 
   SparseAccumulator acc;
   std::vector<HybridVector> level;  // D_{l,alpha} for the current l
@@ -82,6 +122,8 @@ struct SparseFrontierWorkspace final : KernelWorkspace,
   const CsrOverlay* op_t = nullptr;      // Qᵀ (binomial) or W (rwr)
   const std::vector<double>* weights = nullptr;  // binomial only
   std::vector<double>* out = nullptr;
+  std::vector<int32_t> support;  // Support(), while support_valid
+  bool support_valid = false;
   int64_t densify_nnz = 0;
   double damping = 0.0;  // rwr only
   double ck = 1.0;       // C^level, rwr only
@@ -149,21 +191,6 @@ class SparseFrontierBackend final : public KernelBackend {
     }
   }
 
-  /// out += coeff · v, touching only live entries of a sparse v. Sparse
-  /// entries are added in ascending index order — the same per-entry
-  /// operation sequence as the dense Axpy, whose skipped terms are exact
-  /// `+= coeff * 0.0` no-ops.
-  static void AddScaled(double coeff, const HybridVector& v,
-                        std::vector<double>* out) {
-    if (v.dense) {
-      Axpy(coeff, v.vec, out);
-      return;
-    }
-    for (size_t i = 0; i < v.sv.idx.size(); ++i) {
-      (*out)[static_cast<size_t>(v.sv.idx[i])] += coeff * v.sv.val[i];
-    }
-  }
-
   static int64_t DensifyThreshold(int64_t n) {
     return std::max<int64_t>(
         16, static_cast<int64_t>(kDensifyFraction * static_cast<double>(n)));
@@ -191,13 +218,14 @@ PartialColumnEvaluation* SparseFrontierBackend::BeginBinomialColumn(
   ws->rwr_active = false;
 
   out->assign(static_cast<size_t>(n), 0.0);
+  ws->StartSupport();
 
   // level[alpha] holds D_{l,alpha} = Q^α (Qᵀ)^{l−α} e_q for the current l.
   ws->level[0].AssignUnit(static_cast<int32_t>(query));  // D_{0,0} = e_q
   ws->t.CopyFrom(ws->level[0]);                          // t = (Qᵀ)^l e_q
 
   // l = 0 contribution.
-  AddScaled(length_weights[0], ws->level[0], out);
+  ws->AddScaled(length_weights[0], ws->level[0]);
   return ws;
 }
 
@@ -219,9 +247,10 @@ PartialColumnEvaluation* SparseFrontierBackend::BeginRwrColumn(
   ws->rwr_active = true;
 
   out->assign(static_cast<size_t>(n), 0.0);
+  ws->StartSupport();
   ws->t.AssignUnit(static_cast<int32_t>(query));
 
-  AddScaled((1.0 - damping) * ws->ck, ws->t, out);
+  ws->AddScaled((1.0 - damping) * ws->ck, ws->t);
   return ws;
 }
 
@@ -231,7 +260,7 @@ bool SparseFrontierWorkspace::AdvanceLevel() {
     backend->Propagate(*op, *op_t, densify_nnz, t, &acc, &scratch);
     std::swap(t, scratch);
     ck *= damping;
-    SparseFrontierBackend::AddScaled((1.0 - damping) * ck, t, out);
+    AddScaled((1.0 - damping) * ck, t);
     ++cur_level;
     return true;
   }
@@ -249,10 +278,9 @@ bool SparseFrontierWorkspace::AdvanceLevel() {
 
   const double pow2 = std::ldexp(1.0, -l);
   for (int alpha = 0; alpha <= l; ++alpha) {
-    SparseFrontierBackend::AddScaled(
-        (*weights)[static_cast<size_t>(l)] * pow2 *
-            BinomialCoefficient(l, alpha),
-        level[static_cast<size_t>(alpha)], out);
+    AddScaled((*weights)[static_cast<size_t>(l)] * pow2 *
+                  BinomialCoefficient(l, alpha),
+              level[static_cast<size_t>(alpha)]);
   }
   return true;
 }

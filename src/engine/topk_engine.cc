@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "srs/common/macros.h"
 #include "srs/observability/instruments.h"
 
 namespace srs {
@@ -52,15 +53,71 @@ Result<TopKEngine> TopKEngine::Create(const GraphRef& graph,
   return TopKEngine(std::move(snapshot), resolved);
 }
 
-bool TopKEngine::SieveAndCheckSettled(double tail, WorkerState* state,
+void TopKEngine::OfferBlock(size_t limit, WorkerState* state) const {
+  // Block members are exactly the zero partials other than the query's
+  // (every support node has been absorbed before any offer), so the
+  // smallest ids sit among the first |support| + limit + 1 entries.
+  const std::vector<double>& partial = state->partial;
+  const NodeId n = static_cast<NodeId>(partial.size());
+  size_t offered = 0;
+  for (NodeId v = 0; v < n && offered < limit; ++v) {
+    if (v == state->query || partial[v] != 0.0) continue;
+    state->collector.Offer(v, partial[v]);
+    ++offered;
+  }
+}
+
+bool TopKEngine::SyncCandidates(const PartialColumnEvaluation& eval,
+                                WorkerState* state) const {
+  if (state->saturated) return false;
+  const std::vector<int32_t>* support = eval.Support();
+  if (support == nullptr) {
+    // Saturation fallback: the ascending list of every surviving node,
+    // built once. While the block lives no sieve has dropped anything (a
+    // sieve that keeps a +0.0 partial keeps every partial), so that is
+    // every node but the query; otherwise it is the explicit survivors.
+    // Either way its length is the count the scan schedule has used.
+    const size_t scheduled = state->candidates.size() +
+                             static_cast<size_t>(state->block_size);
+    if (state->block_size > 0) {
+      state->candidates.clear();
+      const NodeId n = static_cast<NodeId>(state->partial.size());
+      for (NodeId v = 0; v < n; ++v) {
+        if (v != state->query) state->candidates.push_back(v);
+      }
+    } else {
+      std::sort(state->candidates.begin(), state->candidates.end());
+    }
+    SRS_CHECK_EQ(state->candidates.size(), scheduled);
+    state->saturated = true;
+    state->block_size = 0;
+    return false;
+  }
+  // Absorb the nodes that turned nonzero since the last scan. Once the
+  // block is dropped they were dropped with it.
+  for (; state->absorbed < support->size(); ++state->absorbed) {
+    const NodeId v = (*support)[state->absorbed];
+    if (state->block_size == 0 || v == state->query) continue;
+    state->candidates.push_back(v);
+    --state->block_size;
+  }
+  return state->block_size > 0;
+}
+
+bool TopKEngine::SieveAndCheckSettled(const PartialColumnEvaluation& eval,
+                                      double tail, WorkerState* state,
                                       double* min_gap) const {
   const std::vector<double>& partial = state->partial;
   // Top-(k+1) partials among the surviving candidates: the first k are the
   // running answer, the (k+1)-th is the best any outsider could displace.
+  // Every explicit candidate's partial is positive, so the live block
+  // ranks behind all of them, smallest ids first.
+  const bool block = SyncCandidates(eval, state);
   state->collector.Reset(effective_k_ + 1);
   for (NodeId v : state->candidates) {
     state->collector.Offer(v, partial[v]);
   }
+  if (block) OfferBlock(effective_k_ + 1, state);
   const size_t m = state->collector.size();
   state->collector.ExtractSorted(&state->top);
 
@@ -69,13 +126,15 @@ bool TopKEngine::SieveAndCheckSettled(double tail, WorkerState* state,
     // cannot reach it even with the whole tail is provably outside the
     // top-k. The sieve is monotone — partials grow by at most the tail
     // shrink per level, and the threshold never decreases — so a dropped
-    // candidate could never have re-qualified.
+    // candidate could never have re-qualified. The block's members all
+    // sit at +0.0 and leave together, for good.
     const double theta = state->top[effective_k_ - 1].score;
     size_t kept = 0;
     for (NodeId v : state->candidates) {
       if (partial[v] + tail >= theta) state->candidates[kept++] = v;
     }
     state->candidates.resize(kept);
+    if (block && !(0.0 + tail >= theta)) state->block_size = 0;
   }
 
   // Settled iff every adjacent pair of the collected partials is strictly
@@ -108,12 +167,13 @@ void TopKEngine::EvaluateOne(QueryMeasure measure, NodeId query,
       eval_.BeginCompute(measure, query, state->workspace.get(),
                          &state->partial);
 
-  const int64_t n = eval_.num_nodes();
+  // Every node but the query starts in the implicit block; scans move the
+  // support into the explicit list.
   state->candidates.clear();
-  state->candidates.reserve(static_cast<size_t>(n - 1));
-  for (NodeId v = 0; v < n; ++v) {
-    if (v != query) state->candidates.push_back(v);
-  }
+  state->query = query;
+  state->block_size = eval_.num_nodes() - 1;
+  state->absorbed = 0;
+  state->saturated = false;
 
   const bool allow_early = options_.similarity.topk_early_termination;
   bool settled = false;
@@ -135,8 +195,11 @@ void TopKEngine::EvaluateOne(QueryMeasure measure, NodeId query,
   //    before that, separation cannot pass unless the gaps themselves
   //    moved, which a 4×-decay refresh bounds (`tail/4`: at most every
   //    ~2.7 levels at C = 0.6).
-  // The schedule depends only on partials, tails, and the snapshot shape,
-  // so it is as deterministic — and backend-independent at prune_epsilon =
+  // The candidate count is the explicit list plus the live block — the
+  // count of a list that held every surviving node — so scans fall on the
+  // same levels whether or not a scan ever touches the block. The
+  // schedule depends only on partials, tails, and the snapshot shape, so
+  // it is as deterministic — and backend-independent at prune_epsilon =
   // 0 — as the termination test itself.
   const bool rwr = measure == QueryMeasure::kRwr;
   const int64_t level_nnz =
@@ -152,13 +215,13 @@ void TopKEngine::EvaluateOne(QueryMeasure measure, NodeId query,
     const bool plausible = max_ub + (ub_tail - tail) > tail;
     const int64_t next_level_cost =
         (rwr ? int64_t{1} : int64_t{eval->Level()} + 2) * level_nnz;
+    const int64_t candidate_count =
+        static_cast<int64_t>(state->candidates.size()) + state->block_size;
     const bool scheduled =
-        4 * static_cast<int64_t>(state->candidates.size()) <=
-            next_level_cost ||
-        tail < scan_below;
+        4 * candidate_count <= next_level_cost || tail < scan_below;
     if (allow_early && plausible && scheduled) {
       double min_gap = 0.0;
-      if (SieveAndCheckSettled(tail, state, &min_gap)) {
+      if (SieveAndCheckSettled(*eval, tail, state, &min_gap)) {
         settled = true;
         break;
       }
@@ -173,10 +236,12 @@ void TopKEngine::EvaluateOne(QueryMeasure measure, NodeId query,
     // Ran to completion: rank the surviving candidates exactly. The sieve
     // only ever dropped provably-out nodes, so the survivors contain the
     // true top-k.
+    const bool block = SyncCandidates(*eval, state);
     state->collector.Reset(effective_k_);
     for (NodeId v : state->candidates) {
       state->collector.Offer(v, state->partial[v]);
     }
+    if (block) OfferBlock(effective_k_, state);
     state->collector.ExtractSorted(&state->top);
   }
   const size_t count = std::min(effective_k_, state->top.size());

@@ -23,6 +23,30 @@
 ///    scores is separated by more than the tail, the remaining levels can
 ///    change neither the top-k set nor its order, and iteration stops.
 ///
+/// The loop's work follows the row's support, not n. The frontier cursor
+/// reports which output entries are nonzero
+/// (PartialColumnEvaluation::Support), and the candidates come in two
+/// parts:
+///
+///  * **explicit candidates** — the support nodes other than the query
+///    that survived every sieve; each scan absorbs the nodes that turned
+///    nonzero since the last one;
+///  * **the implicit block** — every other node, at partial exactly +0.0.
+///    It is alive while `0.0 + tail >= θ`, the sieve's own test; its
+///    smallest ids are offered to the collector, which ranks them after
+///    every positive partial and breaks their ties by ascending id (how a
+///    row with fewer than k nonzeros fills its ranking); once a sieve
+///    drops it, it is gone for good, nodes that join the support later
+///    included.
+///
+/// A scan then costs O(support + k). The scan schedule counts the
+/// explicit survivors plus the live block's size, which is the length of
+/// a list holding every surviving node, so scans fall on the same levels
+/// as if every node were listed. When a level vector densifies, the
+/// support turns null (**saturation fallback**): the engine rebuilds that
+/// ascending list of every surviving node once and scans it from then on;
+/// a saturated row's levels cost far more than such a scan.
+///
 /// Early termination is *exact*: the returned set and order equal those of
 /// the backend's full-row scores sorted under RankedBefore (higher score
 /// first, ties by ascending node id) — bit-for-bit the dense reference's
@@ -158,11 +182,22 @@ class TopKEngine {
 
  private:
   /// Per-worker scratch: backend workspace plus the branch-and-bound
-  /// state, all reused across queries.
+  /// state, all reused across queries. A query's candidates are split in
+  /// two while the cursor reports its support (file comment):
   struct WorkerState {
     std::unique_ptr<KernelWorkspace> workspace;
     std::vector<double> partial;      // the growing score vector
-    std::vector<NodeId> candidates;   // survivors of the sieve
+    // The explicit candidates: support nodes other than the query that
+    // survived every sieve, in the order they turned nonzero. After the
+    // saturation fallback: every surviving candidate, ascending.
+    std::vector<NodeId> candidates;
+    // The implicit block: every node outside the absorbed support except
+    // the query, all at partial +0.0. 0 once a sieve drops it (for good)
+    // and after the fallback, which lists its members explicitly.
+    int64_t block_size = 0;
+    size_t absorbed = 0;              // support entries already absorbed
+    bool saturated = false;           // the fallback list is in use
+    NodeId query = 0;
     TopKCollector collector;          // top-(k+1) partials per level
     std::vector<RankedNode> top;      // sorted extraction scratch
   };
@@ -175,14 +210,27 @@ class TopKEngine {
   void EvaluateOne(QueryMeasure measure, NodeId query, WorkerState* state,
                    TopKResult* result) const;
 
+  /// Brings the explicit candidates up to date with `eval`'s support:
+  /// absorbs the nodes that turned nonzero since the last call (or drops
+  /// them when the block is gone). When the support turns null, rebuilds
+  /// the ascending list of every surviving candidate once and keeps it.
+  /// Returns true while the block is live.
+  bool SyncCandidates(const PartialColumnEvaluation& eval,
+                      WorkerState* state) const;
+
+  /// Offers the block's `limit` smallest ids (partial +0.0) to the
+  /// collector. Requires a synced, live block.
+  void OfferBlock(size_t limit, WorkerState* state) const;
+
   /// One sieve + separation pass at the current level. Fills
   /// `state->top` (sorted best-first, up to k+1 entries), compacts
-  /// `state->candidates`, and returns true when the top-k set and order
+  /// `state->candidates` (and drops the block when its +0.0 partial
+  /// fails the sieve), and returns true when the top-k set and order
   /// are provably settled. On failure `*min_gap` is the smallest adjacent
   /// partial-score gap observed — the tail must drop below it before
   /// separation can possibly pass, which schedules the next scan.
-  bool SieveAndCheckSettled(double tail, WorkerState* state,
-                            double* min_gap) const;
+  bool SieveAndCheckSettled(const PartialColumnEvaluation& eval, double tail,
+                            WorkerState* state, double* min_gap) const;
 
   TopKEngineOptions options_;
   MeasureEvaluator eval_;

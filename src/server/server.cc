@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -121,17 +122,34 @@ void SrsServer::AcceptLoop() {
       if (errno == EINTR) continue;
       break;  // listener shut down (or fatally broken): stop accepting
     }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (shutdown_requested_.load()) {
-      ::close(fd);
-      break;
-    }
+    // Threads whose connections closed, joined outside the lock: a
+    // joinable thread keeps its stack mapped until it is joined.
+    std::vector<std::thread> finished;
     {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++stats_.connections;
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (shutdown_requested_.load()) {
+        ::close(fd);
+        break;
+      }
+      {
+        std::lock_guard<std::mutex> slock(stats_mu_);
+        ++stats_.connections;
+      }
+      // Each id is present: a thread records itself under conn_mu_,
+      // which was held while it was emplaced.
+      for (std::thread::id id : finished_conns_) {
+        auto it = std::find_if(
+            conn_threads_.begin(), conn_threads_.end(),
+            [id](const std::thread& t) { return t.get_id() == id; });
+        finished.push_back(std::move(*it));
+        *it = std::move(conn_threads_.back());
+        conn_threads_.pop_back();
+      }
+      finished_conns_.clear();
+      open_fds_.insert(fd);
+      conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
     }
-    open_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -159,6 +177,7 @@ void SrsServer::HandleConnection(int fd) {
   std::lock_guard<std::mutex> lock(conn_mu_);
   open_fds_.erase(fd);
   ::close(fd);
+  finished_conns_.push_back(std::this_thread::get_id());
 }
 
 bool SrsServer::HandleRequest(int fd, const ProtocolRequest& request) {
@@ -376,6 +395,11 @@ void SrsServer::CountResponse(bool ok) {
   } else {
     ++stats_.responses_error;
   }
+}
+
+size_t SrsServer::ConnectionThreads() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return conn_threads_.size();
 }
 
 ServerStats SrsServer::Stats() const {

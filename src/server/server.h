@@ -104,6 +104,10 @@ class SrsServer {
   /// Traffic counters.
   ServerStats Stats() const;
 
+  /// Connection threads not yet joined: those of open connections plus
+  /// those of connections closed since the last accept, which joins them.
+  size_t ConnectionThreads() const;
+
   /// Admission/coalescing counters (the integration test reads
   /// `coalesced` to prove batches actually merged).
   AdmissionQueueStats QueueStats() const;
@@ -141,8 +145,10 @@ class SrsServer {
   std::thread accept_thread_;
   std::thread dispatch_thread_;
 
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  mutable std::mutex conn_mu_;
+  std::vector<std::thread> conn_threads_;  // joined by AcceptLoop or Wait
+  // Connection threads done serving, joined at the next accept.
+  std::vector<std::thread::id> finished_conns_;
   std::unordered_set<int> open_fds_;
 
   mutable std::mutex stats_mu_;

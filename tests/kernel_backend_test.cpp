@@ -16,9 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <string>
 
 #include "srs/core/single_source_kernel.h"
 #include "srs/engine/all_pairs_engine.h"
@@ -206,6 +208,89 @@ TEST(KernelBackendTest, ServingRouteMatchesDenseCursorAfterEveryLevel) {
         }
       }
     }
+  }
+}
+
+TEST(KernelBackendTest, FrontierSupportListsEachNonzeroEntryOnce) {
+  // PartialColumnEvaluation::Support: while non-null it lists every
+  // nonzero output entry exactly once, and each level only appends to
+  // it; once a level vector densifies it is null for the rest of the
+  // column. One workspace serves every column, so each Begin must restart
+  // the list. Covers the binomial and RWR cursors, exact and pruned.
+  const SimilarityOptions sim = BaseOptions();
+  for (double eps : {0.0, 1e-4}) {
+    const std::shared_ptr<const KernelBackend> frontier =
+        MakeSparseFrontierBackend(eps);
+    const std::unique_ptr<KernelWorkspace> ws = frontier->NewWorkspace();
+    int kept = 0, went_null = 0;
+    for (const Graph& g : RandomCorpus()) {
+      const std::shared_ptr<const GraphSnapshot> snap = MakeGraphSnapshot(g);
+      for (QueryMeasure measure : kAllMeasures) {
+        const Column column(measure, sim);
+        for (NodeId q : AllNodes(g)) {
+          std::vector<double> out;
+          PartialColumnEvaluation* eval =
+              column.Begin(*frontier, *snap, q, ws.get(), &out);
+          std::vector<int32_t> previous;
+          bool null_seen = false;
+          do {
+            const std::vector<int32_t>* support = eval->Support();
+            const std::string where =
+                std::string(QueryMeasureToString(measure)) +
+                " eps=" + std::to_string(eps) + " query=" +
+                std::to_string(q) + " level=" + std::to_string(eval->Level());
+            if (support == nullptr) {
+              ASSERT_GT(eval->Level(), 0) << where;
+              null_seen = true;
+              continue;
+            }
+            ASSERT_FALSE(null_seen) << where << ": support came back";
+            ASSERT_GE(support->size(), previous.size()) << where;
+            ASSERT_TRUE(std::equal(previous.begin(), previous.end(),
+                                   support->begin()))
+                << where << ": a level rewrote the list instead of appending";
+            std::vector<char> listed(out.size(), 0);
+            for (int32_t i : *support) {
+              ASSERT_GE(i, 0) << where;
+              ASSERT_LT(static_cast<size_t>(i), out.size()) << where;
+              ASSERT_FALSE(listed[static_cast<size_t>(i)])
+                  << where << ": index " << i << " listed twice";
+              listed[static_cast<size_t>(i)] = 1;
+            }
+            for (size_t j = 0; j < out.size(); ++j) {
+              ASSERT_EQ(listed[j] != 0, out[j] != 0.0)
+                  << where << " entry " << j;
+            }
+            previous = *support;
+          } while (eval->AdvanceLevel());
+          ++(null_seen ? went_null : kept);
+          // A caller that skips the support (the one-shot forms) gets
+          // none; the next Begin records afresh.
+          eval = column.Begin(*frontier, *snap, q, ws.get(), &out);
+          eval->SkipSupport();
+          ASSERT_EQ(eval->Support(), nullptr);
+        }
+      }
+    }
+    // Both regimes occur: frontiers that stay sparse all column long and
+    // ones that densify part-way.
+    EXPECT_GT(kept, 0) << "eps=" << eps;
+    EXPECT_GT(went_null, 0) << "eps=" << eps;
+  }
+
+  // The dense cursor never reports a support.
+  const std::shared_ptr<const KernelBackend> dense = MakeDenseKernelBackend();
+  const std::unique_ptr<KernelWorkspace> dense_ws = dense->NewWorkspace();
+  const Graph g = PathGraph(9).ValueOrDie();
+  const std::shared_ptr<const GraphSnapshot> snap = MakeGraphSnapshot(g);
+  for (QueryMeasure measure : kAllMeasures) {
+    const Column column(measure, sim);  // the cursor reads its weights
+    std::vector<double> out;
+    PartialColumnEvaluation* eval =
+        column.Begin(*dense, *snap, 4, dense_ws.get(), &out);
+    do {
+      EXPECT_EQ(eval->Support(), nullptr);
+    } while (eval->AdvanceLevel());
   }
 }
 

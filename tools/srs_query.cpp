@@ -50,22 +50,20 @@
 //   srs_query --graph cit.txt --apply-delta day1.delta --apply-delta \
 //             day2.delta --query 42 --topk 10
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <system_error>
 
 #include "srs/baselines/p_rank.h"
 #include "srs/baselines/rwr.h"
 #include "srs/baselines/simrank_psum.h"
 #include "srs/common/memory_tracker.h"
 #include "srs/common/parallel.h"
+#include "srs/common/string_util.h"
 #include "srs/core/memo_esr_star.h"
 #include "srs/core/memo_gsr_star.h"
 #include "srs/core/monte_carlo.h"
@@ -122,54 +120,8 @@ void Usage(const char* argv0) {
                argv0);
 }
 
-/// Parses `value` as a whole decimal integer in [min_value, max_value].
-/// Rejects — naming the flag and the offending text — anything atoi would
-/// have silently folded to 0: trailing garbage, empty values, overflow.
-bool ParseIntFlag(const char* flag, const char* value, long long min_value,
-                  long long max_value, long long* out) {
-  if (value == nullptr) {
-    std::fprintf(stderr, "%s requires a value\n", flag);
-    return false;
-  }
-  const char* end = value + std::strlen(value);
-  long long parsed = 0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "%s: expected an integer, got '%s'\n", flag, value);
-    return false;
-  }
-  if (parsed < min_value || parsed > max_value) {
-    std::fprintf(stderr, "%s: %lld out of range [%lld, %lld]\n", flag,
-                 parsed, min_value, max_value);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseIntFlag(const char* flag, const char* value, long long min_value,
-                  long long max_value, int* out) {
-  long long wide = 0;
-  if (!ParseIntFlag(flag, value, min_value, max_value, &wide)) return false;
-  *out = static_cast<int>(wide);
-  return true;
-}
-
-bool ParseDoubleFlag(const char* flag, const char* value, double* out) {
-  if (value == nullptr) {
-    std::fprintf(stderr, "%s requires a value\n", flag);
-    return false;
-  }
-  const char* end = value + std::strlen(value);
-  double parsed = 0.0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag, value);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
+using srs::ParseDoubleFlag;
+using srs::ParseIntFlag;
 
 bool ParseCli(int argc, char** argv, CliOptions* options) {
   for (int i = 1; i < argc; ++i) {

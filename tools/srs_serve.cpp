@@ -59,18 +59,16 @@
 //   srs_serve --graph cit.txt --port 7474 --threads 8 --cache-mb 256
 //   printf '{"op":"query","sources":[4],"top_k":5}\n' | nc 127.0.0.1 7474
 
-#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <chrono>
 #include <string>
-#include <system_error>
 #include <thread>
 
 #include "srs/common/json.h"
 #include "srs/common/parallel.h"
+#include "srs/common/string_util.h"
 #include "srs/core/options.h"
 #include "srs/engine/result_cache.h"
 #include "srs/engine/service.h"
@@ -115,54 +113,8 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-// Strict numeric flag parsing: the whole value must be numeric and in
-// range, or the flag and the offending value are named on stderr. atoi's
-// silent "--port abc" -> 0 served real traffic on the wrong port.
-bool ParseIntFlag(const char* flag, const char* value, long long min_value,
-                  long long max_value, long long* out) {
-  if (value == nullptr) {
-    std::fprintf(stderr, "%s requires a value\n", flag);
-    return false;
-  }
-  const char* end = value + std::strlen(value);
-  long long parsed = 0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end || value == end) {
-    std::fprintf(stderr, "%s: expected an integer, got '%s'\n", flag, value);
-    return false;
-  }
-  if (parsed < min_value || parsed > max_value) {
-    std::fprintf(stderr, "%s: %lld out of range [%lld, %lld]\n", flag,
-                 parsed, min_value, max_value);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-bool ParseIntFlag(const char* flag, const char* value, long long min_value,
-                  long long max_value, int* out) {
-  long long parsed = 0;
-  if (!ParseIntFlag(flag, value, min_value, max_value, &parsed)) return false;
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-bool ParseDoubleFlag(const char* flag, const char* value, double* out) {
-  if (value == nullptr) {
-    std::fprintf(stderr, "%s requires a value\n", flag);
-    return false;
-  }
-  const char* end = value + std::strlen(value);
-  double parsed = 0.0;
-  const auto [ptr, ec] = std::from_chars(value, end, parsed);
-  if (ec != std::errc() || ptr != end || value == end) {
-    std::fprintf(stderr, "%s: expected a number, got '%s'\n", flag, value);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
+using srs::ParseDoubleFlag;
+using srs::ParseIntFlag;
 
 bool ParseCli(int argc, char** argv, CliOptions* options) {
   for (int i = 1; i < argc; ++i) {
