@@ -12,19 +12,31 @@
 /// provenance-skipping idea of incremental view maintenance, applied to
 /// the level recurrence).
 ///
-/// `PropagateResultCacheAcrossDelta` computes the **affected set** — every
-/// node within K undirected hops of a changed transition row, over the
-/// *union* of the parent's and the child's structure (so both deleted and
-/// inserted edges block survival) — with the same frontier-expansion
-/// machinery the sparse kernel backend scatters with: level-at-a-time
-/// frontiers over the snapshots' `q`/`qt` overlay rows. Cached full rows
-/// of unaffected sources are rekeyed to the child version **bit-intact**;
-/// affected ones are evicted.
+/// `PropagateResultCacheAcrossDelta` decides, for every cached full row,
+/// whether its source lies within K undirected hops of a changed
+/// transition row, over the *union* of the parent's and the child's
+/// structure (so both deleted and inserted edges block survival). Cached
+/// full rows of unaffected sources are rekeyed to the child version
+/// **bit-intact**; affected ones are evicted.
+///
+/// The pass pays only for what it can carry. It first collects the cached
+/// full rows under the parent's digests; with none (a cache of top-k
+/// entries, or of rows under other options) it labels no node and returns
+/// — O(cache entries), independent of n. Otherwise a multi-source BFS
+/// from the changed rows, marking an n-bit label bitmap with the
+/// frontier-expansion machinery the sparse kernel backend scatters with
+/// (level-at-a-time frontiers over the snapshots' `q`/`qt` overlay rows),
+/// runs only until every collected source is labeled or the depth reaches
+/// the deepest horizon among the unlabeled ones. Either way each keep/evict decision is the one a BFS
+/// out to the largest horizon would make. The BFS never runs under a
+/// cache shard lock.
 ///
 /// Soundness and non-vacuity are property-tested in
 /// tests/delta_invalidation_test.cpp: after propagation, every cache-served
 /// answer equals the cold rebuild bitwise, and deltas farther than the
-/// horizon from the queried sources leave survivors.
+/// horizon from the queried sources leave survivors. The same file pins
+/// the skip, the early stop, and every decision against a full-horizon
+/// reference BFS.
 ///
 /// Top-k entries (options.top_k > 0) are *not* carried across versions:
 /// their encoded termination diagnostics depend on the snapshot's residual
@@ -44,7 +56,7 @@ namespace srs {
 struct DeltaInvalidationStats {
   size_t retained = 0;  ///< entries rekeyed to the child version, bit-intact
   size_t evicted = 0;   ///< entries dropped as possibly affected
-  int64_t affected_sources = 0;  ///< nodes within the max horizon
+  int64_t affected_sources = 0;  ///< nodes the BFS labeled (0: skipped)
   int max_horizon = 0;  ///< largest level horizon across the measures
 };
 

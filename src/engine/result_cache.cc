@@ -156,6 +156,29 @@ void ResultCache::Put(const ResultKey& key, Value value) {
   }
 }
 
+size_t ResultCache::MatchRemap(const ResultKey& key,
+                               uint64_t graph_fingerprint,
+                               const std::vector<DigestRemap>& remap) {
+  if (key.graph_fingerprint != graph_fingerprint) return remap.size();
+  for (size_t r = 0; r < remap.size(); ++r) {
+    if (key.digest == remap[r].from_digest) return r;
+  }
+  return remap.size();
+}
+
+std::vector<RemapCandidate> ResultCache::RemapCandidates(
+    uint64_t graph_fingerprint, const std::vector<DigestRemap>& remap) const {
+  std::vector<RemapCandidate> candidates;
+  for (const auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (const Entry& entry : shard->lru) {
+      const size_t r = MatchRemap(entry.key, graph_fingerprint, remap);
+      if (r < remap.size()) candidates.push_back({entry.key.query, r});
+    }
+  }
+  return candidates;
+}
+
 DeltaEvictionStats ResultCache::RekeyForDelta(
     uint64_t graph_fingerprint, const std::vector<DigestRemap>& remap,
     const std::function<bool(NodeId, size_t)>& survives) {
@@ -169,24 +192,15 @@ DeltaEvictionStats ResultCache::RekeyForDelta(
     std::lock_guard<std::mutex> lock(shard->mu);
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
       const ResultKey& key = it->key;
-      const DigestRemap* match = nullptr;
-      size_t match_index = 0;
-      if (key.graph_fingerprint == graph_fingerprint) {
-        for (size_t r = 0; r < remap.size(); ++r) {
-          if (key.digest == remap[r].from_digest) {
-            match = &remap[r];
-            match_index = r;
-            break;
-          }
-        }
-      }
-      if (match == nullptr) {
+      const size_t match = MatchRemap(key, graph_fingerprint, remap);
+      if (match == remap.size()) {
         ++it;
         continue;
       }
-      if (survives(key.query, match_index)) {
+      if (survives(key.query, match)) {
         survivors.emplace_back(
-            ResultKey{key.graph_fingerprint, match->to_digest, key.query},
+            ResultKey{key.graph_fingerprint, remap[match].to_digest,
+                      key.query},
             std::move(it->value));
         ++result.retained;
       } else {

@@ -406,6 +406,15 @@ Status SrsService::StreamRows(const QueryRequest& request,
 
 Result<uint64_t> SrsService::ApplyDelta(const EdgeDelta& delta) {
   std::lock_guard<std::mutex> lock(mu_);
+  // srs_delta_stage_seconds{stage}: each stage is timed from the end of
+  // the previous one.
+  Timer stage_timer;
+  auto end_stage = [&stage_timer](std::string_view stage) {
+    if (MetricsEnabled()) {
+      DeltaStageSecondsHistogram(stage)->Observe(stage_timer.Seconds());
+    }
+    stage_timer.Restart();
+  };
   if (store_ != nullptr) {
     // Write-ahead ordering: validate what Apply would validate, frame the
     // record with the version/fingerprint the chain is about to mint, and
@@ -422,20 +431,23 @@ Result<uint64_t> SrsService::ApplyDelta(const EdgeDelta& delta) {
     record.version_fingerprint = graph_.NextVersionFingerprint(delta);
     record.delta = delta;
     SRS_RETURN_NOT_OK(store_->LogDelta(record));
+    end_stage("wal");
   }
   SRS_ASSIGN_OR_RETURN(const uint64_t version, graph_.Apply(delta));
+  end_stage("apply");
   // Deriving through the cache is the incremental path: only the rows the
   // delta touched are recomputed and patched over the head snapshot.
   SRS_ASSIGN_OR_RETURN(
       std::shared_ptr<const GraphSnapshot> child,
       ResolveSnapshotCache(options_)->Get(graph_, version));
+  end_stage("derive");
   if (options_.result_cache != nullptr && head_snapshot_ != nullptr &&
       child->version == head_snapshot_->version + 1) {
     // Carry provably-unaffected rows (under the service's default digest)
     // across the version step; rows cached under other option digests age
     // out on their own. Propagation failure would leave stale-but-
     // unreachable entries, never a wrong answer — the version fingerprint
-    // in every digest guarantees that — so it is not fatal here.
+    // in every digest guarantees that — so it is logged, not fatal.
     Result<DeltaInvalidationStats> propagated =
         PropagateResultCacheAcrossDelta(options_.result_cache.get(),
                                         *head_snapshot_, *child,
@@ -443,7 +455,11 @@ Result<uint64_t> SrsService::ApplyDelta(const EdgeDelta& delta) {
     if (propagated.ok()) {
       stats_.cache_rows_retained += propagated.ValueOrDie().retained;
       stats_.cache_rows_evicted += propagated.ValueOrDie().evicted;
+    } else {
+      SRS_LOG(Warning) << "result-cache propagation to version " << version
+                       << " failed: " << propagated.status().ToString();
     }
+    end_stage("propagate");
   }
   // Carry the sharded head views across the version step. Derive reuses
   // the cut points and adjusts per-shard statistics from delta_touched —
@@ -476,6 +492,7 @@ Result<uint64_t> SrsService::ApplyDelta(const EdgeDelta& delta) {
                               materialized.ValueOrDie(), *head_snapshot_)
                         : materialized.status();
       }
+      end_stage("checkpoint");
       if (persisted.ok()) {
         ++stats_.checkpoints;
       } else {

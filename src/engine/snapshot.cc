@@ -79,8 +79,8 @@ CsrMatrix BuildPatchRows(int64_t num_nodes,
 }
 
 /// Applies the patch and compacts the overlay once more than half its rows
-/// are replacements — past that density the slot-map indirection costs
-/// more than it saves, and Compact() preserves every bit.
+/// are replacements — past that density the patch lookups cost more than
+/// they save, and Compact() preserves every bit.
 CsrOverlay PatchOverlay(const CsrOverlay& parent,
                         const std::vector<int64_t>& rows, CsrMatrix patch) {
   CsrOverlay out = parent.WithPatchedRows(rows, std::move(patch));
@@ -88,32 +88,32 @@ CsrOverlay PatchOverlay(const CsrOverlay& parent,
   return out;
 }
 
-std::shared_ptr<const std::vector<double>> AllRowAbsSums(
-    const CsrOverlay& m) {
-  auto sums = std::make_shared<std::vector<double>>(
-      static_cast<size_t>(m.rows()));
-  for (int64_t r = 0; r < m.rows(); ++r) {
-    (*sums)[static_cast<size_t>(r)] = RowAbsSum(m.Row(r));
-  }
-  return sums;
+/// Full O(nnz) scan: every row's |value| sum folded into one max.
+RowSumMax ScanRowSumMax(const CsrOverlay& m) {
+  RowSumMax max;
+  for (int64_t r = 0; r < m.rows(); ++r) max.Offer(RowAbsSum(m.Row(r)));
+  return max;
 }
 
-double MaxOf(const std::vector<double>& sums) {
-  double max_sum = 0.0;
-  for (double s : sums) max_sum = std::max(max_sum, s);
-  return max_sum;
-}
-
-/// Parent row sums + recomputed sums for the patched rows; gamma is the
-/// max over the result.
-std::shared_ptr<const std::vector<double>> PatchRowSums(
-    const std::shared_ptr<const std::vector<double>>& parent_sums,
-    const CsrOverlay& m, const std::vector<int64_t>& patched_rows) {
-  auto sums = std::make_shared<std::vector<double>>(*parent_sums);
-  for (int64_t r : patched_rows) {
-    (*sums)[static_cast<size_t>(r)] = RowAbsSum(m.Row(r));
+/// The max after `changed` rows of `parent` were rewritten into `child`,
+/// from those rows alone: the parent's count loses every changed row that
+/// sat at the max, and the changed rows' new sums compete with what is
+/// left. Only when no unchanged row is left at the max and every new sum
+/// fell below it is the new max unknown — then `child` is rescanned.
+RowSumMax PatchRowSumMax(RowSumMax max, const CsrOverlay& parent,
+                         const CsrOverlay& child,
+                         const std::vector<int64_t>& changed) {
+  RowSumMax rewritten;
+  for (int64_t r : changed) {
+    if (RowAbsSum(parent.Row(r)) == max.value) --max.rows;
+    rewritten.Offer(RowAbsSum(child.Row(r)));
   }
-  return sums;
+  if (rewritten.value > max.value) return rewritten;
+  if (rewritten.value == max.value) {
+    max.rows += rewritten.rows;
+    return max;
+  }
+  return max.rows > 0 ? max : ScanRowSumMax(child);
 }
 
 std::shared_ptr<GraphSnapshot> BuildRootMatrices(const Graph& g) {
@@ -127,12 +127,9 @@ std::shared_ptr<GraphSnapshot> BuildRootMatrices(const Graph& g) {
   snapshot->qt = CsrOverlay(std::move(qt));
   snapshot->w = CsrOverlay(std::move(w));
   snapshot->wt = CsrOverlay(std::move(wt));
-  snapshot->row_sums_q = AllRowAbsSums(snapshot->q);
-  snapshot->row_sums_qt = AllRowAbsSums(snapshot->qt);
-  snapshot->row_sums_wt = AllRowAbsSums(snapshot->wt);
-  snapshot->gamma_q = MaxOf(*snapshot->row_sums_q);
-  snapshot->gamma_qt = MaxOf(*snapshot->row_sums_qt);
-  snapshot->gamma_wt = MaxOf(*snapshot->row_sums_wt);
+  snapshot->SetGammas(ScanRowSumMax(snapshot->q),
+                      ScanRowSumMax(snapshot->qt),
+                      ScanRowSumMax(snapshot->wt));
   return snapshot;
 }
 
@@ -223,17 +220,15 @@ std::shared_ptr<const GraphSnapshot> MakeDerivedSnapshot(
   snapshot->qt = PatchOverlay(parent->qt, rows.qt, std::move(qt_patch));
   snapshot->w = PatchOverlay(parent->w, rows.w, std::move(w_patch));
   snapshot->wt = PatchOverlay(parent->wt, rows.wt, std::move(wt_patch));
-  // Gammas from incrementally patched per-row sums — O(|touched| + n),
-  // bitwise what a full MaxAbsRowSum rescan would produce.
-  snapshot->row_sums_q = PatchRowSums(parent->row_sums_q, snapshot->q,
-                                      rows.q);
-  snapshot->row_sums_qt = PatchRowSums(parent->row_sums_qt, snapshot->qt,
-                                       rows.qt);
-  snapshot->row_sums_wt = PatchRowSums(parent->row_sums_wt, snapshot->wt,
-                                       rows.wt);
-  snapshot->gamma_q = MaxOf(*snapshot->row_sums_q);
-  snapshot->gamma_qt = MaxOf(*snapshot->row_sums_qt);
-  snapshot->gamma_wt = MaxOf(*snapshot->row_sums_wt);
+  // Gammas from the rewritten rows alone — O(|touched|·deg), bitwise what
+  // a full MaxAbsRowSum rescan would produce.
+  snapshot->SetGammas(
+      PatchRowSumMax({parent->gamma_q, parent->gamma_q_rows}, parent->q,
+                     snapshot->q, rows.q),
+      PatchRowSumMax({parent->gamma_qt, parent->gamma_qt_rows}, parent->qt,
+                     snapshot->qt, rows.qt),
+      PatchRowSumMax({parent->gamma_wt, parent->gamma_wt_rows}, parent->wt,
+                     snapshot->wt, rows.wt));
   snapshot->delta_touched = std::move(rows.all);
   return snapshot;
 }

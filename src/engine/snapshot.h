@@ -51,6 +51,25 @@ namespace srs {
 /// on structure.
 uint64_t GraphFingerprint(const Graph& g);
 
+/// The largest per-row |value| sum of one matrix — a snapshot gamma — and
+/// how many rows attain it bitwise. The count is what lets a derived
+/// snapshot update its gammas from the rows its delta rewrote alone.
+struct RowSumMax {
+  double value = 0.0;
+  int64_t rows = 0;
+
+  /// Folds one row's sum in. Max is exact, so folding every row in any
+  /// order reproduces a full scan's bits (matrix/ops.h MaxAbsRowSum).
+  void Offer(double sum) {
+    if (sum > value) {
+      value = sum;
+      rows = 1;
+    } else if (sum == value) {
+      ++rows;
+    }
+  }
+};
+
 /// \brief Immutable transition-structure snapshot shared by the engines.
 ///
 /// Each matrix is stored alongside its transpose: the dense kernels gather
@@ -89,15 +108,26 @@ struct GraphSnapshot {
   double gamma_qt = 0.0;
   double gamma_wt = 0.0;
 
-  /// Per-row |value| sums behind the gammas, shared along a version chain
-  /// and patched per delta: a derived snapshot copies the parent's
-  /// vector, recomputes only the patched rows' sums, and takes the max —
-  /// O(|touched| + n) instead of the O(nnz) full-matrix rescan, and
-  /// bitwise the from-scratch result (each row sum is the same gather
-  /// loop; max is an exact operation).
-  std::shared_ptr<const std::vector<double>> row_sums_q;
-  std::shared_ptr<const std::vector<double>> row_sums_qt;
-  std::shared_ptr<const std::vector<double>> row_sums_wt;
+  /// Rows whose |value| sum equals gamma_q / gamma_qt / gamma_wt. No
+  /// per-row sums are kept: a derived snapshot takes each gamma from the
+  /// rows its delta rewrote (their parent and child sums) and this count,
+  /// and rescans the matrix in O(nnz) only when the last row at the max
+  /// dropped below it. Bitwise the from-scratch result either way (each
+  /// row sum is the same gather loop; max is an exact operation).
+  int64_t gamma_q_rows = 0;
+  int64_t gamma_qt_rows = 0;
+  int64_t gamma_wt_rows = 0;
+
+  /// Stores each matrix's max row sum and the count of rows at it.
+  void SetGammas(const RowSumMax& q_max, const RowSumMax& qt_max,
+                 const RowSumMax& wt_max) {
+    gamma_q = q_max.value;
+    gamma_q_rows = q_max.rows;
+    gamma_qt = qt_max.value;
+    gamma_qt_rows = qt_max.rows;
+    gamma_wt = wt_max.value;
+    gamma_wt_rows = wt_max.rows;
+  }
 
   /// Nodes whose row changed in *any* of the four matrices parent → this
   /// version (sorted; empty for roots). The seed set of delta-aware
@@ -105,35 +135,25 @@ struct GraphSnapshot {
   std::vector<NodeId> delta_touched;
 
   /// Logical footprint in bytes, shared base storage included — what one
-  /// snapshot costs in isolation. The per-row sum vectors are owned per
-  /// snapshot (each version holds its own patched copy) and counted.
+  /// snapshot costs in isolation.
   size_t ByteSize() const {
-    return q.ByteSize() + qt.ByteSize() + w.ByteSize() + wt.ByteSize() +
-           RowSumBytes();
+    return q.ByteSize() + qt.ByteSize() + w.ByteSize() + wt.ByteSize();
   }
 
   /// Bytes this snapshot adds on top of storage shared with an ancestor:
-  /// patched overlays count only their marginal patch + slot-map storage,
-  /// patch-free overlays (roots, compactions) own their CSR outright. The
-  /// SnapshotCache charges this, so a long version chain's reported bytes
-  /// track real memory instead of multiplying the shared base per entry.
-  /// (A derived version whose delta was all no-ops shares everything yet
-  /// has no patches; it is charged as an owner — rare and conservative.)
+  /// patched overlays count only their marginal patch rows, patched-row
+  /// list and n-bit membership bitmap; patch-free overlays (roots,
+  /// compactions) own their CSR outright. The SnapshotCache charges this,
+  /// so a long version chain's reported bytes track real memory instead of
+  /// multiplying the shared base per entry — a 16-edge delta at n = 1M
+  /// charges about 0.5 MB, nearly all of it the four bitmaps. (A derived
+  /// version whose delta was all no-ops shares everything yet has no
+  /// patches; it is charged as an owner — rare and conservative.)
   size_t CacheByteSize() const {
     auto charge = [](const CsrOverlay& m) {
       return m.HasPatches() ? m.OverlayByteSize() : m.ByteSize();
     };
-    return charge(q) + charge(qt) + charge(w) + charge(wt) + RowSumBytes();
-  }
-
-  /// Bytes of the three per-row sum vectors (never shared — each version
-  /// copies and patches its own).
-  size_t RowSumBytes() const {
-    size_t bytes = 0;
-    for (const auto& sums : {row_sums_q, row_sums_qt, row_sums_wt}) {
-      if (sums != nullptr) bytes += sums->size() * sizeof(double);
-    }
-    return bytes;
+    return charge(q) + charge(qt) + charge(w) + charge(wt);
   }
 };
 
@@ -144,8 +164,10 @@ std::shared_ptr<const GraphSnapshot> MakeGraphSnapshot(const Graph& g);
 /// snapshot: recomputes only the transition rows the version's delta
 /// touched, patches them over the parent's overlays (unmodified rows stay
 /// physically shared), and — when an overlay's patched fraction exceeds ½
-/// — compacts that overlay into a fresh CSR. Requires `version` >= 1,
-/// not compacted at the graph level, and `parent` to be version − 1's
+/// — compacts that overlay into a fresh CSR. Nothing per node is copied
+/// or scanned beyond each overlay's n-bit patch bitmap: the gammas come
+/// from the rewritten rows (RowSumMax). Requires `version` >= 1, not
+/// compacted at the graph level, and `parent` to be version − 1's
 /// snapshot of the same chain.
 std::shared_ptr<const GraphSnapshot> MakeDerivedSnapshot(
     const std::shared_ptr<const GraphSnapshot>& parent,
@@ -182,8 +204,8 @@ class SnapshotCache {
   /// (fingerprint, version) pair. On a miss the snapshot is built
   /// incrementally from the nearest cached ancestor (walking parents back
   /// to version 0 or a graph-level compaction), so applying one delta
-  /// costs O(|touched rows|·deg + n) — the patch rows plus flat per-row
-  /// bookkeeping — never the O(nnz log nnz) four-matrix rebuild.
+  /// costs O(patched rows·deg) plus an n/8-byte bitmap per overlay —
+  /// never the O(nnz log nnz) four-matrix rebuild.
   /// InvalidArgument when `version` is out of range.
   Result<std::shared_ptr<const GraphSnapshot>> Get(const VersionedGraph& vg,
                                                    uint64_t version);

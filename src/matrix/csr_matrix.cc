@@ -76,6 +76,10 @@ void CsrMatrix::DetectValueStructure() {
   row_vals_.clear();
   col_vals_.clear();
   if (values_.empty()) return;  // kernels have nothing to stream anyway
+  // Only square matrices feed the constant-value kernels. A rectangular
+  // one — an overlay's few replacement rows over n columns — would pay an
+  // n-sized side array and scratch for structure nothing reads.
+  if (rows_ != cols_) return;
 
   row_vals_.assign(static_cast<size_t>(rows_), 0.0);
   col_vals_.assign(static_cast<size_t>(cols_), 0.0);

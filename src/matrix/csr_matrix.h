@@ -72,25 +72,25 @@ class CsrMatrix {
   /// Values, parallel to col_idx().
   const std::vector<double>& values() const { return values_; }
 
-  /// Non-null when every row's stored values are bitwise one per-row
-  /// constant — the shape of row-normalized transition matrices, whose
-  /// row r holds 1/degree(r) in every slot. Entry r is that constant
-  /// (+0.0 for empty rows), size rows(). Kernels use it to hoist the
-  /// value into a register and drop the 8-byte-per-edge values stream;
-  /// every product v·x[c] pairs the same operands, so results are
+  /// Non-null when the matrix is square and every row's stored values are
+  /// bitwise one per-row constant — the shape of row-normalized transition
+  /// matrices, whose row r holds 1/degree(r) in every slot. Entry r is
+  /// that constant (+0.0 for empty rows), size rows(). Kernels use it to
+  /// hoist the value into a register and drop the 8-byte-per-edge values
+  /// stream; every product v·x[c] pairs the same operands, so results are
   /// bit-identical to the generic path.
   const double* RowConstantValues() const {
     return row_constant_ ? row_vals_.data() : nullptr;
   }
 
-  /// Non-null when every column's stored values are bitwise one
-  /// per-column constant — the shape of *transposed* transition matrices
-  /// (column c of Qᵀ holds Q's row-c constant). Entry c is that constant
-  /// (+0.0 for empty columns), size cols(). Enables the premultiplied
-  /// SpMV (csr_kernels::SpmvPremultiplied): fold the value into the
-  /// source vector once per pass instead of streaming it per edge. Each
-  /// folded product cv[c]·x[c] multiplies exactly the operands the
-  /// generic kernel would, so the pass is bit-identical.
+  /// Non-null when the matrix is square and every column's stored values
+  /// are bitwise one per-column constant — the shape of *transposed*
+  /// transition matrices (column c of Qᵀ holds Q's row-c constant). Entry
+  /// c is that constant (+0.0 for empty columns), size cols(). Enables the
+  /// premultiplied SpMV (csr_kernels::SpmvPremultiplied): fold the value
+  /// into the source vector once per pass instead of streaming it per
+  /// edge. Each folded product cv[c]·x[c] multiplies exactly the operands
+  /// the generic kernel would, so the pass is bit-identical.
   const double* ColumnConstantValues() const {
     return col_constant_ ? col_vals_.data() : nullptr;
   }
@@ -180,7 +180,8 @@ class CsrMatrix {
   void AdoptRowPtr(std::vector<uint32_t> row_ptr);
   /// One O(nnz) pass classifying the values as per-row constant, per-
   /// column constant, both, or neither (bitwise comparisons, so the side
-  /// arrays can reproduce every product exactly).
+  /// arrays can reproduce every product exactly). Square matrices only:
+  /// rectangular ones (overlay patch rows) are left as neither.
   void DetectValueStructure();
 
   int64_t rows_ = 0;

@@ -23,7 +23,7 @@ CsrOverlay::CsrOverlay(std::shared_ptr<const CsrMatrix> base)
 }
 
 const std::vector<int64_t>& CsrOverlay::PatchedRows() const {
-  return patched_rows_ ? *patched_rows_ : EmptyRowList();
+  return patch_ ? patch_->index : EmptyRowList();
 }
 
 CsrOverlay CsrOverlay::WithPatchedRows(const std::vector<int64_t>& rows,
@@ -37,11 +37,9 @@ CsrOverlay CsrOverlay::WithPatchedRows(const std::vector<int64_t>& rows,
   // overlap. Both inputs are ascending, so one merge pass assembles the
   // combined patch CSR in row order.
   const std::vector<int64_t>& old_rows = PatchedRows();
-  CsrOverlay out;
-  out.base_ = base_;
-
-  auto merged_rows = std::make_shared<std::vector<int64_t>>();
-  merged_rows->reserve(old_rows.size() + rows.size());
+  auto patch = std::make_shared<Patch>();
+  std::vector<int64_t>& index = patch->index;
+  index.reserve(old_rows.size() + rows.size());
   std::vector<int64_t> new_ptr;
   std::vector<int32_t> new_cols;
   std::vector<double> new_vals;
@@ -63,14 +61,14 @@ CsrOverlay CsrOverlay::WithPatchedRows(const std::vector<int64_t>& rows,
   while (oi < old_rows.size() || ni < rows.size()) {
     if (ni >= rows.size() ||
         (oi < old_rows.size() && old_rows[oi] < rows[ni])) {
-      merged_rows->push_back(old_rows[oi]);
-      append_row(Row(old_rows[oi]));
+      index.push_back(old_rows[oi]);
+      append_row(patch_->RowAt(static_cast<int64_t>(oi)));
       ++oi;
     } else {
       SRS_CHECK(ni + 1 >= rows.size() || rows[ni] < rows[ni + 1]);
       SRS_CHECK(rows[ni] >= 0 && rows[ni] < this->rows());
       if (oi < old_rows.size() && old_rows[oi] == rows[ni]) ++oi;
-      merged_rows->push_back(rows[ni]);
+      index.push_back(rows[ni]);
       append_row(new_row_span(ni));
       ++ni;
     }
@@ -79,25 +77,22 @@ CsrOverlay CsrOverlay::WithPatchedRows(const std::vector<int64_t>& rows,
   // Assemble the patch matrix directly: rows are already in order with
   // column-sorted entries, so the linear FromSortedRows path applies (no
   // triplet copy or re-sort; the values pass through bit-unchanged).
-  out.patch_ = std::make_shared<const CsrMatrix>(CsrMatrix::FromSortedRows(
-      static_cast<int64_t>(merged_rows->size()), cols(), std::move(new_ptr),
-      std::move(new_cols), std::move(new_vals)));
-
-  auto slot = std::make_shared<std::vector<int32_t>>(
-      static_cast<size_t>(this->rows()), -1);
-  for (size_t i = 0; i < merged_rows->size(); ++i) {
-    (*slot)[static_cast<size_t>((*merged_rows)[i])] =
-        static_cast<int32_t>(i);
+  patch->rows = CsrMatrix::FromSortedRows(
+      static_cast<int64_t>(index.size()), cols(), std::move(new_ptr),
+      std::move(new_cols), std::move(new_vals));
+  patch->bits.assign((static_cast<size_t>(this->rows()) + 63) / 64, 0);
+  for (int64_t r : index) {
+    patch->bits[static_cast<size_t>(r) >> 6] |= uint64_t{1} << (r & 63);
   }
-  out.slot_ = std::move(slot);
-  out.patched_rows_ = std::move(merged_rows);
 
+  CsrOverlay out;
+  out.base_ = base_;
   out.nnz_ = base_->nnz();
-  for (size_t i = 0; i < out.patched_rows_->size(); ++i) {
-    const int64_t r = (*out.patched_rows_)[i];
-    out.nnz_ -= base_->RowNnz(r);
-    out.nnz_ += out.patch_->RowNnz(static_cast<int64_t>(i));
+  for (size_t i = 0; i < index.size(); ++i) {
+    out.nnz_ -= base_->RowNnz(index[i]);
+    out.nnz_ += patch->rows.RowNnz(static_cast<int64_t>(i));
   }
+  out.patch_ = std::move(patch);
   return out;
 }
 
@@ -129,8 +124,9 @@ void CsrOverlay::MultiplyVector(const double* x, double* y) const {
   // the result is bitwise the per-row Row(r) loop's.
   base_->MultiplyVector(x, y);
   if (patch_ == nullptr) return;
-  for (int64_t r : *patched_rows_) {
-    const CsrRowSpan row = Row(r);
+  for (size_t i = 0; i < patch_->index.size(); ++i) {
+    const int64_t r = patch_->index[i];
+    const CsrRowSpan row = patch_->RowAt(static_cast<int64_t>(i));
     double sum = 0.0;
     for (int64_t k = 0; k < row.nnz; ++k) {
       sum += row.vals[k] * x[row.cols[k]];
@@ -167,8 +163,9 @@ void CsrOverlay::MultiplyVectorPremultiplied(const double* xp, const double* x,
                                    base_->col_idx().data(), xp, cv, y, yp);
   });
   if (patch_ == nullptr) return;
-  for (int64_t r : *patched_rows_) {
-    const CsrRowSpan row = Row(r);
+  for (size_t i = 0; i < patch_->index.size(); ++i) {
+    const int64_t r = patch_->index[i];
+    const CsrRowSpan row = patch_->RowAt(static_cast<int64_t>(i));
     double sum = 0.0;
     for (int64_t k = 0; k < row.nnz; ++k) {
       sum += row.vals[k] * x[row.cols[k]];
@@ -179,13 +176,9 @@ void CsrOverlay::MultiplyVectorPremultiplied(const double* xp, const double* x,
 }
 
 size_t CsrOverlay::OverlayByteSize() const {
-  size_t bytes = 0;
-  if (patch_ != nullptr) bytes += patch_->ByteSize();
-  if (slot_ != nullptr) bytes += slot_->size() * sizeof(int32_t);
-  if (patched_rows_ != nullptr) {
-    bytes += patched_rows_->size() * sizeof(int64_t);
-  }
-  return bytes;
+  if (patch_ == nullptr) return 0;
+  return patch_->rows.ByteSize() + patch_->index.size() * sizeof(int64_t) +
+         patch_->bits.size() * sizeof(uint64_t);
 }
 
 }  // namespace srs

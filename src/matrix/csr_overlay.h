@@ -8,9 +8,11 @@
 /// rows the delta actually touches. A `CsrOverlay` is the representation
 /// the kernels consume — a shared immutable **base** CSR plus a compact
 /// **patch** CSR holding full replacement rows for a (usually tiny) set of
-/// row indices. Row access dispatches in O(1) through a slot map; every
-/// other row reads the base storage directly, so any number of graph
-/// versions share one copy of their unmodified rows.
+/// row indices. Row access tests one bit of an n-bit membership bitmap
+/// (n/8 bytes per version); only a patched row goes on to a binary search
+/// of the sorted patched-row list for its slot. Every other row reads the
+/// base storage directly, so any number of graph versions share one copy
+/// of their unmodified rows.
 ///
 /// Bit-compatibility contract (the dynamic differential-fuzz harness
 /// asserts it end to end): `Row(r)` exposes exactly the (column, value)
@@ -24,6 +26,7 @@
 /// static serving path (engine/snapshot.h building from a plain Graph)
 /// uses exactly that form.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -43,8 +46,8 @@ struct CsrRowSpan {
 
 /// \brief Immutable CSR matrix view: shared base + per-row replacements.
 ///
-/// Copying an overlay copies three shared_ptrs — versions are cheap to
-/// hand around, and all unpatched row storage is physically shared.
+/// Copying an overlay copies two shared_ptrs — versions are cheap to hand
+/// around, and all unpatched row storage is physically shared.
 class CsrOverlay {
  public:
   /// Empty 0x0 overlay.
@@ -66,7 +69,7 @@ class CsrOverlay {
 
   bool HasPatches() const { return patch_ != nullptr; }
   int64_t PatchedRowCount() const {
-    return patched_rows_ ? static_cast<int64_t>(patched_rows_->size()) : 0;
+    return patch_ ? static_cast<int64_t>(patch_->index.size()) : 0;
   }
   /// Ascending indices of the replaced rows (empty vector when none).
   const std::vector<int64_t>& PatchedRows() const;
@@ -79,21 +82,15 @@ class CsrOverlay {
 
   bool IsPatched(int64_t r) const {
     SRS_DCHECK(r >= 0 && r < rows());
-    return patch_ != nullptr && (*slot_)[static_cast<size_t>(r)] >= 0;
+    return patch_ != nullptr && patch_->Contains(r);
   }
 
   /// The row's (column, value) entries — patch storage if replaced, base
   /// storage otherwise.
   CsrRowSpan Row(int64_t r) const {
     SRS_DCHECK(r >= 0 && r < rows());
-    if (patch_ != nullptr) {
-      const int32_t s = (*slot_)[static_cast<size_t>(r)];
-      if (s >= 0) {
-        const int64_t begin = patch_->RowBegin(s);
-        return CsrRowSpan{patch_->col_idx().data() + begin,
-                          patch_->values().data() + begin,
-                          patch_->RowEnd(s) - begin};
-      }
+    if (patch_ != nullptr && patch_->Contains(r)) {
+      return patch_->RowAt(patch_->SlotOf(r));
     }
     const int64_t begin = base_->RowBegin(r);
     return CsrRowSpan{base_->col_idx().data() + begin,
@@ -158,18 +155,35 @@ class CsrOverlay {
     return (base_ ? base_->ByteSize() : 0) + OverlayByteSize();
   }
 
-  /// Bytes owned by this overlay alone (patch rows + slot map) — the
-  /// marginal cost of one more version sharing the base.
+  /// Bytes owned by this overlay alone (patch rows, patched-row list and
+  /// membership bitmap) — the marginal cost of one more version sharing
+  /// the base.
   size_t OverlayByteSize() const;
 
  private:
+  /// Everything a patched overlay owns beside the shared base.
+  struct Patch {
+    CsrMatrix rows;              ///< replacement row i for index[i]
+    std::vector<int64_t> index;  ///< patched row indices, ascending
+    std::vector<uint64_t> bits;  ///< bit r set iff row r is in `index`
+
+    bool Contains(int64_t r) const {
+      return (bits[static_cast<size_t>(r) >> 6] >> (r & 63)) & 1;
+    }
+    /// Position of patched row r in `index` (r must be patched).
+    int64_t SlotOf(int64_t r) const {
+      return std::lower_bound(index.begin(), index.end(), r) - index.begin();
+    }
+    CsrRowSpan RowAt(int64_t slot) const {
+      const int64_t begin = rows.RowBegin(slot);
+      return CsrRowSpan{rows.col_idx().data() + begin,
+                        rows.values().data() + begin,
+                        rows.RowEnd(slot) - begin};
+    }
+  };
+
   std::shared_ptr<const CsrMatrix> base_;
-  // Replacement rows, one per patched row, ascending by patched row index.
-  std::shared_ptr<const CsrMatrix> patch_;
-  // slot_[r] = row index into patch_, or -1 when r reads the base. Only
-  // allocated when patches exist.
-  std::shared_ptr<const std::vector<int32_t>> slot_;
-  std::shared_ptr<const std::vector<int64_t>> patched_rows_;
+  std::shared_ptr<const Patch> patch_;  ///< null when no row is replaced
   int64_t nnz_ = 0;
 };
 

@@ -1,7 +1,9 @@
 #include "srs/observability/instruments.h"
 
 #include <string>
+#include <vector>
 
+#include "srs/common/macros.h"
 #include "srs/common/memory_tracker.h"
 
 namespace srs {
@@ -49,6 +51,25 @@ Histogram* QueryBatchSourcesHistogram(std::string_view shape) {
       "srs_query_batch_sources",
       "Distinct source nodes computed per merged batch", &CountBuckets);
   return fam.For(shape);
+}
+
+Histogram* DeltaStageSecondsHistogram(std::string_view stage) {
+  static constexpr std::string_view kStages[] = {"wal", "apply", "derive",
+                                                 "propagate", "checkpoint"};
+  static const std::vector<Histogram*> fam = [] {
+    std::vector<Histogram*> by_stage;
+    for (std::string_view name : kStages) {
+      by_stage.push_back(GlobalMetrics().GetHistogram(
+          "srs_delta_stage_seconds", "Wall time of one ApplyDelta stage",
+          LatencyBucketsSeconds(), {{"stage", std::string(name)}}));
+    }
+    return by_stage;
+  }();
+  for (size_t i = 0; i < fam.size(); ++i) {
+    if (stage == kStages[i]) return fam[i];
+  }
+  SRS_CHECK(false) << "unknown delta stage " << stage;
+  return nullptr;
 }
 
 Histogram* TopKTerminationLevelsHistogram() {

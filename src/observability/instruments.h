@@ -65,6 +65,13 @@ Histogram* BatchEntriesHistogram();
 /// `srs_request_seconds`: Submit() to response ready, per request.
 Histogram* RequestSecondsHistogram();
 
+/// `srs_delta_stage_seconds{stage=...}`: wall time of one SrsService::
+/// ApplyDelta stage — "wal" (validate + append + fsync), "apply"
+/// (VersionedGraph::Apply), "derive" (child snapshot), "propagate"
+/// (result-cache carry-over) and "checkpoint" (snapshot file + WAL reset,
+/// only when one is written).
+Histogram* DeltaStageSecondsHistogram(std::string_view stage);
+
 // --- storage ---------------------------------------------------------------
 
 /// `srs_wal_append_seconds`: fsync-inclusive wall time of one LogDelta.

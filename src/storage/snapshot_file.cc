@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -13,6 +12,7 @@
 
 #include "srs/common/crc32c.h"
 #include "srs/matrix/csr_matrix.h"
+#include "srs/matrix/ops.h"
 #include "srs/storage/file_util.h"
 
 namespace srs {
@@ -146,10 +146,20 @@ struct PendingSection {
   size_t size;
 };
 
-double MaxOf(const std::vector<double>& sums) {
-  double max_sum = 0.0;
-  for (double s : sums) max_sum = std::max(max_sum, s);
-  return max_sum;
+/// Per-row |value| sums of one matrix — the same gather loop the
+/// snapshot's gammas fold, so the section holds exactly their inputs.
+std::vector<double> AbsRowSums(const CsrOverlay& m) {
+  std::vector<double> sums(static_cast<size_t>(m.rows()));
+  for (int64_t r = 0; r < m.rows(); ++r) {
+    sums[static_cast<size_t>(r)] = RowAbsSum(m.Row(r));
+  }
+  return sums;
+}
+
+RowSumMax MaxOf(const std::vector<double>& sums) {
+  RowSumMax max;
+  for (double s : sums) max.Offer(s);
+  return max;
 }
 
 /// Bytes of a vector<T>'s payload.
@@ -201,10 +211,11 @@ Status WriteSnapshotFile(const std::string& path, const Graph& graph,
   const auto qt = materialize(snapshot.qt);
   const auto w = materialize(snapshot.w);
   const auto wt = materialize(snapshot.wt);
-  if (snapshot.row_sums_q == nullptr || snapshot.row_sums_qt == nullptr ||
-      snapshot.row_sums_wt == nullptr) {
-    return Status::InvalidArgument("snapshot is missing row-sum vectors");
-  }
+  // Snapshots keep only the gammas; the file keeps the per-row sums behind
+  // them, so a reader recovers each gamma without an O(nnz) pass.
+  const std::vector<double> sums_q = AbsRowSums(snapshot.q);
+  const std::vector<double> sums_qt = AbsRowSums(snapshot.qt);
+  const std::vector<double> sums_wt = AbsRowSums(snapshot.wt);
 
   const std::vector<char> labels_blob =
       graph.labels().empty() ? std::vector<char>()
@@ -235,12 +246,9 @@ Status WriteSnapshotFile(const std::string& path, const Graph& graph,
   add_matrix(kSecQtRowPtr, *qt);
   add_matrix(kSecWRowPtr, *w);
   add_matrix(kSecWtRowPtr, *wt);
-  add(kSecRowSumsQ, snapshot.row_sums_q->data(),
-      ByteLen(*snapshot.row_sums_q));
-  add(kSecRowSumsQt, snapshot.row_sums_qt->data(),
-      ByteLen(*snapshot.row_sums_qt));
-  add(kSecRowSumsWt, snapshot.row_sums_wt->data(),
-      ByteLen(*snapshot.row_sums_wt));
+  add(kSecRowSumsQ, sums_q.data(), ByteLen(sums_q));
+  add(kSecRowSumsQt, sums_qt.data(), ByteLen(sums_qt));
+  add(kSecRowSumsWt, sums_wt.data(), ByteLen(sums_wt));
 
   FileHeader header;
   header.num_nodes = graph.NumNodes();
@@ -451,11 +459,11 @@ Result<SnapshotFileData> ReadSnapshotFile(const std::string& path) {
   SRS_ASSIGN_OR_RETURN(auto w, load_matrix(kSecWRowPtr, "w"));
   SRS_ASSIGN_OR_RETURN(auto wt, load_matrix(kSecWtRowPtr, "wt"));
 
-  SRS_ASSIGN_OR_RETURN(std::vector<double> sums_q,
+  SRS_ASSIGN_OR_RETURN(const std::vector<double> sums_q,
                        load(kSecRowSumsQ, n, "row_sums_q", double{}));
-  SRS_ASSIGN_OR_RETURN(std::vector<double> sums_qt,
+  SRS_ASSIGN_OR_RETURN(const std::vector<double> sums_qt,
                        load(kSecRowSumsQt, n, "row_sums_qt", double{}));
-  SRS_ASSIGN_OR_RETURN(std::vector<double> sums_wt,
+  SRS_ASSIGN_OR_RETURN(const std::vector<double> sums_wt,
                        load(kSecRowSumsWt, n, "row_sums_wt", double{}));
 
   auto snapshot = std::make_shared<GraphSnapshot>();
@@ -468,15 +476,7 @@ Result<SnapshotFileData> ReadSnapshotFile(const std::string& path) {
   snapshot->qt = CsrOverlay(std::move(qt));
   snapshot->w = CsrOverlay(std::move(w));
   snapshot->wt = CsrOverlay(std::move(wt));
-  snapshot->row_sums_q =
-      std::make_shared<const std::vector<double>>(std::move(sums_q));
-  snapshot->row_sums_qt =
-      std::make_shared<const std::vector<double>>(std::move(sums_qt));
-  snapshot->row_sums_wt =
-      std::make_shared<const std::vector<double>>(std::move(sums_wt));
-  snapshot->gamma_q = MaxOf(*snapshot->row_sums_q);
-  snapshot->gamma_qt = MaxOf(*snapshot->row_sums_qt);
-  snapshot->gamma_wt = MaxOf(*snapshot->row_sums_wt);
+  snapshot->SetGammas(MaxOf(sums_q), MaxOf(sums_qt), MaxOf(sums_wt));
 
   SnapshotFileData data;
   data.base_fingerprint = header.base_fingerprint;

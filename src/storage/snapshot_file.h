@@ -13,9 +13,10 @@
 /// CRC-32C checksums, and bulk-copies fixed-width little-endian arrays
 /// straight into `CsrMatrix::FromSortedRows` / `Graph::FromCsr` — no
 /// edge-list parsing, no O(m log m) rebuild, no floating-point work beyond
-/// a max over the stored row sums. Every double is stored bit-exact, so a
-/// recovered process serves byte-identical answers (the recovery contract
-/// storage/data_dir.h builds on).
+/// a max over the stored row sums (the writer computes them from the
+/// matrices it writes; snapshots keep only the gammas). Every double is
+/// stored bit-exact, so a recovered process serves byte-identical answers
+/// (the recovery contract storage/data_dir.h builds on).
 ///
 /// Layout (all integers little-endian, payloads 64-byte aligned):
 ///
@@ -54,7 +55,8 @@ struct SnapshotFileData {
   Graph graph;
 
   /// The serving snapshot at `version`: patch-free overlays over the
-  /// stored matrices, stored row sums, gammas re-maxed from them.
+  /// stored matrices, gammas (and their row counts) re-maxed from the
+  /// stored row sums.
   /// `delta_touched` is intentionally empty — a freshly recovered process
   /// has no result-cache entries to invalidate.
   std::shared_ptr<const GraphSnapshot> snapshot;

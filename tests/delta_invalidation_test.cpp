@@ -7,8 +7,12 @@
 //  * **non-vacuity** — the pass is not "evict everything": for a delta
 //    provably farther than the level horizon from the queried sources
 //    (disjoint communities), survivors exist, and they are then served as
-//    cache *hits*.
+//    cache *hits*;
+//  * **paying only for what it carries** — a cache with no full row under
+//    the parent's digests runs no BFS at all, and a BFS stops as soon as
+//    every cached source is decided.
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -21,6 +25,7 @@
 #include "srs/engine/query_engine.h"
 #include "srs/engine/result_cache.h"
 #include "srs/engine/snapshot.h"
+#include "srs/engine/topk_engine.h"
 #include "srs/graph/delta.h"
 #include "srs/graph/generators.h"
 #include "srs/graph/graph_builder.h"
@@ -297,6 +302,220 @@ TEST(DeltaInvalidationTest, HorizonBoundaryIsSharp) {
   // closure), and the far tail survives propagation outright.
   EXPECT_EQ(v0_rows[5], want[5]);
   EXPECT_GT(stats.ValueOrDie().retained, 0u);
+}
+
+/// A path 0 → 1 → … → n−1 with one edge inserted in its middle: the
+/// changed rows are {mid, mid+1, mid+2}.
+struct PathWithDelta {
+  static constexpr int64_t kNodes = 64;
+  static constexpr NodeId kMid = 30;
+
+  VersionedGraph vg;
+  SnapshotCache snapshots{8};
+
+  PathWithDelta() : vg(Build()) {}
+
+  static Graph Build() {
+    GraphBuilder builder(kNodes);
+    for (int64_t i = 0; i + 1 < kNodes; ++i) {
+      SRS_CHECK_OK(builder.AddEdge(static_cast<NodeId>(i),
+                                   static_cast<NodeId>(i + 1)));
+    }
+    return builder.Build().MoveValueOrDie();
+  }
+
+  /// Applies the delta; returns (parent, child) snapshots.
+  std::pair<std::shared_ptr<const GraphSnapshot>,
+            std::shared_ptr<const GraphSnapshot>>
+  Apply() {
+    EdgeDelta::Builder delta;
+    delta.Insert(kMid, kMid + 2);
+    SRS_CHECK_OK(vg.Apply(delta.Build(kNodes).ValueOrDie()).status());
+    return {snapshots.Get(vg, 0).ValueOrDie(),
+            snapshots.Get(vg, 1).ValueOrDie()};
+  }
+};
+
+constexpr int kFar = 1 << 30;
+
+/// Undirected hop distance of every node from the changed rows over both
+/// snapshots' q/qt rows, out to `depth` (kFar beyond) — what a BFS run out
+/// to the full horizon computes.
+std::vector<int> UnionDistances(const GraphSnapshot& parent,
+                                const GraphSnapshot& child, int depth) {
+  std::vector<int> dist(static_cast<size_t>(child.num_nodes), kFar);
+  std::vector<NodeId> frontier;
+  for (NodeId seed : child.delta_touched) {
+    dist[static_cast<size_t>(seed)] = 0;
+    frontier.push_back(seed);
+  }
+  for (int d = 1; d <= depth; ++d) {
+    std::vector<NodeId> next;
+    for (NodeId x : frontier) {
+      for (const CsrOverlay* m : {&parent.q, &parent.qt, &child.q, &child.qt}) {
+        const CsrRowSpan row = m->Row(x);
+        for (int64_t k = 0; k < row.nnz; ++k) {
+          if (dist[static_cast<size_t>(row.cols[k])] == kFar) {
+            dist[static_cast<size_t>(row.cols[k])] = d;
+            next.push_back(row.cols[k]);
+          }
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  return dist;
+}
+
+int64_t BallSize(const GraphSnapshot& parent, const GraphSnapshot& child,
+                 int depth) {
+  const std::vector<int> dist = UnionDistances(parent, child, depth);
+  return std::count_if(dist.begin(), dist.end(),
+                       [](int d) { return d != kFar; });
+}
+
+TEST(DeltaInvalidationTest, NothingToCarryRunsNoBfsAndKeepsEveryEntry) {
+  PathWithDelta path;
+  SimilarityOptions sim;
+  sim.damping = 0.6;
+  sim.iterations = 4;
+  auto cache = std::make_shared<ResultCache>();
+
+  // Top-k entries under the served options...
+  TopKEngineOptions topk_opts;
+  topk_opts.similarity = sim;
+  topk_opts.similarity.top_k = 3;
+  topk_opts.result_cache = cache;
+  topk_opts.snapshot_cache = &path.snapshots;
+  TopKEngine topk =
+      TopKEngine::Create({path.vg, 0}, topk_opts).MoveValueOrDie();
+  const std::vector<NodeId> sources = AllNodes(PathWithDelta::kNodes);
+  ASSERT_TRUE(
+      topk.BatchTopK(QueryMeasure::kSimRankStarGeometric, sources).ok());
+  // ...and full rows under other options (another damping) — neither is
+  // keyed under the parent digests the pass remaps.
+  QueryEngineOptions other;
+  other.similarity = sim;
+  other.similarity.damping = 0.7;
+  other.result_cache = cache;
+  other.snapshot_cache = &path.snapshots;
+  QueryEngine rows = QueryEngine::Create({path.vg, 0}, other).MoveValueOrDie();
+  ASSERT_TRUE(rows.BatchScores(QueryMeasure::kRwr, sources).ok());
+  const size_t entries = cache->Stats().entries;
+  ASSERT_EQ(entries, 2 * sources.size());
+
+  const auto [parent, child] = path.Apply();
+  const DeltaInvalidationStats stats =
+      PropagateResultCacheAcrossDelta(cache.get(), *parent, *child, sim)
+          .MoveValueOrDie();
+  EXPECT_EQ(stats.affected_sources, 0) << "labeled nodes without a source";
+  EXPECT_EQ(stats.retained, 0u);
+  EXPECT_EQ(stats.evicted, 0u);
+  EXPECT_EQ(cache->Stats().entries, entries);
+}
+
+TEST(DeltaInvalidationTest, BfsStopsOnceEveryCachedSourceIsDecided) {
+  PathWithDelta path;
+  SimilarityOptions sim;
+  sim.damping = 0.6;
+  sim.iterations = 6;
+  auto cache = std::make_shared<ResultCache>();
+  QueryEngineOptions opts;
+  opts.similarity = sim;
+  opts.result_cache = cache;
+  opts.snapshot_cache = &path.snapshots;
+
+  const auto [parent, child] = path.Apply();
+  // Rows only for sources on changed rows: every one is labeled at depth
+  // 0, so the BFS never expands.
+  QueryEngine warm = QueryEngine::Create({path.vg, 0}, opts).MoveValueOrDie();
+  const std::vector<NodeId> near = child->delta_touched;
+  ASSERT_FALSE(near.empty());
+  for (QueryMeasure m : {QueryMeasure::kSimRankStarGeometric,
+                         QueryMeasure::kSimRankStarExponential,
+                         QueryMeasure::kRwr}) {
+    ASSERT_TRUE(warm.BatchScores(m, near).ok());
+  }
+
+  const DeltaInvalidationStats stats =
+      PropagateResultCacheAcrossDelta(cache.get(), *parent, *child, sim)
+          .MoveValueOrDie();
+  EXPECT_EQ(stats.evicted, 3 * near.size());
+  EXPECT_EQ(stats.retained, 0u);
+  EXPECT_EQ(cache->Stats().entries, 0u);
+  EXPECT_EQ(stats.affected_sources, static_cast<int64_t>(near.size()));
+  const int64_t full_ball = BallSize(*parent, *child, stats.max_horizon);
+  EXPECT_LT(stats.affected_sources, full_ball)
+      << "the early stop labeled as much as the full-horizon pass";
+}
+
+/// The early stop changes what the pass costs, never what it decides:
+/// every entry survives exactly when the full-horizon distance of its
+/// source exceeds its measure's horizon. Sparse random graphs with an
+/// accuracy-driven horizon (8 levels geometric, fewer exponential) put
+/// sources on both sides of both horizons, including exactly at them.
+TEST(DeltaInvalidationTest, DecisionsMatchTheFullHorizonPass) {
+  const uint64_t seed = 20261018;
+  size_t kept_total = 0, evicted_total = 0;
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    Rng rng(DeriveSeed(seed, static_cast<uint64_t>(round)));
+    const int64_t n = 240 + static_cast<int64_t>(rng.Uniform(60));
+    VersionedGraph vg(ErdosRenyi(n, n + n / 8, rng.Next()).MoveValueOrDie());
+    SimilarityOptions sim;
+    sim.damping = 0.6;
+    sim.epsilon = 1e-2;
+    SnapshotCache snapshots(8);
+    auto cache = std::make_shared<ResultCache>();
+    QueryEngineOptions opts;
+    opts.similarity = sim;
+    opts.result_cache = cache;
+    opts.snapshot_cache = &snapshots;
+    const std::vector<NodeId> sources = AllNodes(n);
+    QueryEngine warm = QueryEngine::Create({vg, 0}, opts).MoveValueOrDie();
+    const QueryMeasure measures[] = {QueryMeasure::kSimRankStarGeometric,
+                                     QueryMeasure::kSimRankStarExponential,
+                                     QueryMeasure::kRwr};
+    for (QueryMeasure m : measures) {
+      ASSERT_TRUE(warm.BatchScores(m, sources).ok());
+    }
+
+    EdgeDelta::Builder delta;
+    for (int i = 0; i < 3; ++i) {
+      delta.Insert(static_cast<NodeId>(rng.Uniform(n)),
+                   static_cast<NodeId>(rng.Uniform(n)));
+    }
+    SRS_CHECK_OK(vg.Apply(delta.Build(n).MoveValueOrDie()).status());
+    const auto parent = snapshots.Get(vg, 0).ValueOrDie();
+    const auto child = snapshots.Get(vg, 1).ValueOrDie();
+    const DeltaInvalidationStats stats =
+        PropagateResultCacheAcrossDelta(cache.get(), *parent, *child, sim)
+            .MoveValueOrDie();
+
+    const std::vector<int> dist =
+        UnionDistances(*parent, *child, stats.max_horizon);
+    size_t kept = 0;
+    for (QueryMeasure m : measures) {
+      const bool exponential = m == QueryMeasure::kSimRankStarExponential;
+      const int horizon = EffectiveIterations(sim, exponential);
+      const uint64_t digest = ResultDigest(sim, QueryMeasureTag(m),
+                                           child->version_fingerprint);
+      for (NodeId q : sources) {
+        const bool survives = dist[static_cast<size_t>(q)] > horizon;
+        kept += survives ? 1 : 0;
+        EXPECT_EQ(cache->Get({child->fingerprint, digest, q}) != nullptr,
+                  survives)
+            << QueryMeasureToString(m) << " source " << q << " at distance "
+            << dist[static_cast<size_t>(q)] << ", horizon " << horizon;
+      }
+    }
+    EXPECT_EQ(stats.retained, kept);
+    EXPECT_EQ(stats.evicted, 3 * sources.size() - kept);
+    kept_total += stats.retained;
+    evicted_total += stats.evicted;
+  }
+  EXPECT_GT(kept_total, 0u);
+  EXPECT_GT(evicted_total, 0u);
 }
 
 TEST(EdgeDeltaBuilderTest, ConsumedOnErrorAndSuccess) {

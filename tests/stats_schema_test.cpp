@@ -12,6 +12,7 @@
 
 #include "gtest/gtest.h"
 #include "srs/common/json.h"
+#include "srs/engine/result_cache.h"
 #include "srs/engine/service.h"
 #include "srs/graph/fixtures.h"
 #include "srs/observability/metrics.h"
@@ -165,6 +166,51 @@ TEST(StatsSchemaTest, ServerRegistersTheDocumentedFamilies) {
         std::string("srs_admission_wait_seconds"),
         std::string("srs_batch_entries")}) {
     EXPECT_NE(snap.Find(name), nullptr) << name;
+  }
+}
+
+TEST(StatsSchemaTest, ApplyDeltaStageFamilyIsPinned) {
+  SrsServiceOptions options;
+  options.result_cache = std::make_shared<ResultCache>();
+  std::unique_ptr<SrsService> service =
+      SrsService::Create(Fig1CitationGraph(), options).MoveValueOrDie();
+  std::unique_ptr<SrsServer> server =
+      SrsServer::Start(service.get()).MoveValueOrDie();
+  SrsClient client =
+      SrsClient::Connect("127.0.0.1", server->port()).MoveValueOrDie();
+  const MetricsSnapshot before = GlobalMetrics().Snapshot();
+
+  JsonValue request = JsonValue::MakeObject();
+  request.Set("op", "apply_delta");
+  JsonValue edge = JsonValue::MakeArray();
+  edge.Append(int64_t{0});
+  edge.Append(int64_t{5});
+  JsonValue insert = JsonValue::MakeArray();
+  insert.Append(std::move(edge));
+  request.Set("insert", std::move(insert));
+  const JsonValue response = client.Call(request).ValueOrDie();
+  ASSERT_EQ(response.Find("status")->AsString(), "ok") << response.Encode();
+
+  // One family, one label per stage, all registered together. Without a
+  // data dir there is no wal or checkpoint stage to record.
+  const MetricsSnapshot after = GlobalMetrics().Snapshot();
+  auto count = [](const MetricsSnapshot& snap, const char* stage) {
+    const MetricSnapshot* m =
+        snap.Find("srs_delta_stage_seconds", {{"stage", stage}});
+    return m == nullptr ? uint64_t{0} : m->histogram.count;
+  };
+  for (const char* stage :
+       {"wal", "apply", "derive", "propagate", "checkpoint"}) {
+    const MetricSnapshot* m =
+        after.Find("srs_delta_stage_seconds", {{"stage", stage}});
+    ASSERT_NE(m, nullptr) << stage;
+    EXPECT_EQ(m->type, MetricType::kHistogram) << stage;
+  }
+  for (const char* stage : {"apply", "derive", "propagate"}) {
+    EXPECT_EQ(count(after, stage) - count(before, stage), 1u) << stage;
+  }
+  for (const char* stage : {"wal", "checkpoint"}) {
+    EXPECT_EQ(count(after, stage), count(before, stage)) << stage;
   }
 }
 

@@ -166,15 +166,14 @@ TEST(SnapshotFileTest, RoundTripIsBitExactWithLabels) {
   ExpectMatrixBitEqual(loaded.snapshot->qt, snapshot->qt, "qt");
   ExpectMatrixBitEqual(loaded.snapshot->w, snapshot->w, "w");
   ExpectMatrixBitEqual(loaded.snapshot->wt, snapshot->wt, "wt");
-  ExpectBitEqual(*loaded.snapshot->row_sums_q, *snapshot->row_sums_q,
-                 "row_sums_q");
-  ExpectBitEqual(*loaded.snapshot->row_sums_qt, *snapshot->row_sums_qt,
-                 "row_sums_qt");
-  ExpectBitEqual(*loaded.snapshot->row_sums_wt, *snapshot->row_sums_wt,
-                 "row_sums_wt");
+  // Snapshots keep no row-sum vectors; the file's row-sum sections must
+  // re-max to the same gammas and the same counts of rows at the max.
   EXPECT_EQ(loaded.snapshot->gamma_q, snapshot->gamma_q);
   EXPECT_EQ(loaded.snapshot->gamma_qt, snapshot->gamma_qt);
   EXPECT_EQ(loaded.snapshot->gamma_wt, snapshot->gamma_wt);
+  EXPECT_EQ(loaded.snapshot->gamma_q_rows, snapshot->gamma_q_rows);
+  EXPECT_EQ(loaded.snapshot->gamma_qt_rows, snapshot->gamma_qt_rows);
+  EXPECT_EQ(loaded.snapshot->gamma_wt_rows, snapshot->gamma_wt_rows);
 }
 
 TEST(SnapshotFileTest, RoundTripsDerivedVersionsWithChainIdentity) {
@@ -195,6 +194,8 @@ TEST(SnapshotFileTest, RoundTripsDerivedVersionsWithChainIdentity) {
   EXPECT_EQ(loaded.base_fingerprint, vg.BaseFingerprint());
   EXPECT_EQ(loaded.graph.NumEdges(), materialized.NumEdges());
   ExpectMatrixBitEqual(loaded.snapshot->q, snapshot->q, "derived q");
+  EXPECT_EQ(loaded.snapshot->gamma_qt, snapshot->gamma_qt);
+  EXPECT_EQ(loaded.snapshot->gamma_qt_rows, snapshot->gamma_qt_rows);
 }
 
 TEST(SnapshotFileTest, DetectsCorruptionInEverySection) {
