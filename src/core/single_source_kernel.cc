@@ -83,13 +83,10 @@ void PropagateLevel(const CsrOverlay& q, SimdLevel simd, const double* t_prev,
                                      next_stride);
     }
   });
-  if (q.HasPatches()) {
-    for (int64_t r : q.PatchedRows()) {
-      csr_kernels::BinomialPropagateRow(q.Row(r), t_prev, prev_block,
-                                        prev_stride, count,
-                                        next_block + r * next_stride);
-    }
-  }
+  q.ForEachPatchedRow([&](int64_t r, const CsrRowSpan& row) {
+    csr_kernels::BinomialPropagateRow(row, t_prev, prev_block, prev_stride,
+                                      count, next_block + r * next_stride);
+  });
 }
 
 }  // namespace

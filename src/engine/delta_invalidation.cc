@@ -12,44 +12,25 @@ namespace {
 
 constexpr int kUnreached = INT_MAX;
 
-/// A source the pass may carry: the deepest horizon among the measures it
-/// is cached under and, once the BFS labels it, its hop distance to the
-/// nearest changed row.
-struct CarrySource {
-  NodeId node = 0;
-  int horizon = 0;
-  int dist = kUnreached;
-};
-
-/// Sets bit `x` of `labeled`; true when it was clear.
-bool Label(std::vector<uint64_t>* labeled, NodeId x) {
-  uint64_t& word = (*labeled)[static_cast<size_t>(x) >> 6];
-  const uint64_t bit = uint64_t{1} << (x & 63);
-  if ((word & bit) != 0) return false;
-  word |= bit;
-  return true;
-}
-
-bool IsLabeled(const std::vector<uint64_t>& labeled, NodeId x) {
-  return ((labeled[static_cast<size_t>(x) >> 6] >> (x & 63)) & 1) != 0;
-}
-
 /// Expands `frontier` by one undirected hop over the union structure of
 /// both snapshots: row x of `q` lists in-neighbors, row x of `qt`
 /// out-neighbors, and taking parent + child rows covers edges that the
 /// delta removed as well as ones it inserted. This is the sparse backend's
 /// frontier scatter applied to reachability: only rows incident to the
 /// live frontier are touched, so the pass costs O(edges within the
-/// ball it labels), not O(nnz).
+/// horizon ball), not O(nnz).
 void ExpandFrontier(const GraphSnapshot& parent, const GraphSnapshot& child,
-                    const std::vector<NodeId>& frontier,
-                    std::vector<uint64_t>* labeled,
-                    std::vector<NodeId>* next) {
+                    const std::vector<NodeId>& frontier, int next_dist,
+                    std::vector<int>* dist, std::vector<NodeId>* next) {
   next->clear();
   auto visit = [&](const CsrOverlay& m, NodeId x) {
     const CsrRowSpan row = m.Row(x);
     for (int64_t k = 0; k < row.nnz; ++k) {
-      if (Label(labeled, row.cols[k])) next->push_back(row.cols[k]);
+      const NodeId y = row.cols[k];
+      if ((*dist)[static_cast<size_t>(y)] > next_dist) {
+        (*dist)[static_cast<size_t>(y)] = next_dist;
+        next->push_back(y);
+      }
     }
   };
   for (NodeId x : frontier) {
@@ -108,56 +89,25 @@ Result<DeltaInvalidationStats> PropagateResultCacheAcrossDelta(
 
   DeltaInvalidationStats stats;
   stats.max_horizon = std::max(k_geo, k_exp);
+  // No full row under the parent's digests (a cache of top-k entries, or
+  // of rows under other options): nothing to carry, so no BFS. A row
+  // cached after this check stays under the parent's digest, where it is
+  // still exact.
+  if (!cache->HasRemapCandidates(child.fingerprint, remap)) return stats;
 
-  // The sources the pass could carry, one per node, sorted. None — a cache
-  // of top-k entries, or of rows under other digests — means no BFS.
-  std::vector<CarrySource> sources;
-  for (const RemapCandidate& c :
-       cache->RemapCandidates(child.fingerprint, remap)) {
-    sources.push_back({c.query, horizon[c.remap_index]});
-  }
-  if (sources.empty()) return stats;
-  std::sort(sources.begin(), sources.end(),
-            [](const CarrySource& a, const CarrySource& b) {
-              return a.node != b.node ? a.node < b.node
-                                      : a.horizon > b.horizon;
-            });
-  sources.erase(std::unique(sources.begin(), sources.end(),
-                            [](const CarrySource& a, const CarrySource& b) {
-                              return a.node == b.node;
-                            }),
-                sources.end());
-
-  // Multi-source BFS from the changed rows, one level per round. It stops
-  // once every source is labeled (each dist is then exact) or once the
-  // depth reaches the deepest horizon among the unlabeled ones (each of
-  // those is then farther than its horizon) — the same keep/evict
-  // decisions as a BFS run out to the largest horizon.
-  std::vector<uint64_t> labeled((static_cast<size_t>(child.num_nodes) + 63) /
-                                64);
+  // Multi-source BFS from the changed rows, depth-capped at the largest
+  // horizon. dist[x] ends as min hops from x to any changed row (capped),
+  // for every node — so an entry cached while the BFS runs is decided as
+  // exactly as one cached before it.
+  std::vector<int> dist(static_cast<size_t>(child.num_nodes), kUnreached);
   std::vector<NodeId> frontier, next;
   for (NodeId seed : child.delta_touched) {
-    if (Label(&labeled, seed)) frontier.push_back(seed);
+    dist[static_cast<size_t>(seed)] = 0;
+    frontier.push_back(seed);
   }
   stats.affected_sources = static_cast<int64_t>(frontier.size());
-  int depth = 0;
-  // Records the depth of every source labeled by now; returns the depth
-  // the BFS still has to reach.
-  auto settle = [&] {
-    int needed = 0;
-    for (CarrySource& s : sources) {
-      if (s.dist != kUnreached) continue;
-      if (IsLabeled(labeled, s.node)) {
-        s.dist = depth;
-      } else {
-        needed = std::max(needed, s.horizon);
-      }
-    }
-    return needed;
-  };
-  while (!frontier.empty() && depth < settle()) {
-    ++depth;
-    ExpandFrontier(parent, child, frontier, &labeled, &next);
+  for (int d = 1; d <= stats.max_horizon && !frontier.empty(); ++d) {
+    ExpandFrontier(parent, child, frontier, d, &dist, &next);
     stats.affected_sources += static_cast<int64_t>(next.size());
     frontier.swap(next);
   }
@@ -166,13 +116,8 @@ Result<DeltaInvalidationStats> PropagateResultCacheAcrossDelta(
       child.fingerprint, remap, [&](NodeId query, size_t remap_index) {
         // Survives iff no changed row is reachable within the measure's
         // horizon — then every product of the level recurrence reads
-        // identical bits in both versions. An entry cached after the
-        // sources were collected has no distance and is evicted.
-        auto it = std::lower_bound(
-            sources.begin(), sources.end(), query,
-            [](const CarrySource& s, NodeId q) { return s.node < q; });
-        return it != sources.end() && it->node == query &&
-               it->dist > horizon[remap_index];
+        // identical bits in both versions.
+        return dist[static_cast<size_t>(query)] > horizon[remap_index];
       });
   stats.retained += pass.retained;
   stats.evicted += pass.evicted;

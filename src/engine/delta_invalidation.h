@@ -12,31 +12,27 @@
 /// provenance-skipping idea of incremental view maintenance, applied to
 /// the level recurrence).
 ///
-/// `PropagateResultCacheAcrossDelta` decides, for every cached full row,
-/// whether its source lies within K undirected hops of a changed
-/// transition row, over the *union* of the parent's and the child's
-/// structure (so both deleted and inserted edges block survival). Cached
-/// full rows of unaffected sources are rekeyed to the child version
-/// **bit-intact**; affected ones are evicted.
+/// `PropagateResultCacheAcrossDelta` computes the **affected set** — every
+/// node within K undirected hops of a changed transition row, over the
+/// *union* of the parent's and the child's structure (so both deleted and
+/// inserted edges block survival) — with the same frontier-expansion
+/// machinery the sparse kernel backend scatters with: level-at-a-time
+/// frontiers over the snapshots' `q`/`qt` overlay rows. Cached full rows
+/// of unaffected sources are rekeyed to the child version **bit-intact**;
+/// affected ones are evicted. The BFS runs under no cache shard lock, and
+/// it records a distance for every node it reaches, so an entry cached
+/// while it runs is decided as exactly as the rest.
 ///
-/// The pass pays only for what it can carry. It first collects the cached
-/// full rows under the parent's digests; with none (a cache of top-k
-/// entries, or of rows under other options) it labels no node and returns
-/// — O(cache entries), independent of n. Otherwise a multi-source BFS
-/// from the changed rows, marking an n-bit label bitmap with the
-/// frontier-expansion machinery the sparse kernel backend scatters with
-/// (level-at-a-time frontiers over the snapshots' `q`/`qt` overlay rows),
-/// runs only until every collected source is labeled or the depth reaches
-/// the deepest horizon among the unlabeled ones. Either way each keep/evict decision is the one a BFS
-/// out to the largest horizon would make. The BFS never runs under a
-/// cache shard lock.
+/// The pass pays for the BFS only when it has something to carry: with no
+/// full row cached under the parent's digests (a cache of top-k entries,
+/// or of rows under other options) it labels no node and returns after
+/// one O(cache entries) scan, independent of n.
 ///
 /// Soundness and non-vacuity are property-tested in
 /// tests/delta_invalidation_test.cpp: after propagation, every cache-served
 /// answer equals the cold rebuild bitwise, and deltas farther than the
 /// horizon from the queried sources leave survivors. The same file pins
-/// the skip, the early stop, and every decision against a full-horizon
-/// reference BFS.
+/// the skip and every decision against a reference BFS.
 ///
 /// Top-k entries (options.top_k > 0) are *not* carried across versions:
 /// their encoded termination diagnostics depend on the snapshot's residual
@@ -56,7 +52,7 @@ namespace srs {
 struct DeltaInvalidationStats {
   size_t retained = 0;  ///< entries rekeyed to the child version, bit-intact
   size_t evicted = 0;   ///< entries dropped as possibly affected
-  int64_t affected_sources = 0;  ///< nodes the BFS labeled (0: skipped)
+  int64_t affected_sources = 0;  ///< nodes within the max horizon (0: BFS skipped)
   int max_horizon = 0;  ///< largest level horizon across the measures
 };
 

@@ -166,17 +166,17 @@ size_t ResultCache::MatchRemap(const ResultKey& key,
   return remap.size();
 }
 
-std::vector<RemapCandidate> ResultCache::RemapCandidates(
+bool ResultCache::HasRemapCandidates(
     uint64_t graph_fingerprint, const std::vector<DigestRemap>& remap) const {
-  std::vector<RemapCandidate> candidates;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (const Entry& entry : shard->lru) {
-      const size_t r = MatchRemap(entry.key, graph_fingerprint, remap);
-      if (r < remap.size()) candidates.push_back({entry.key.query, r});
+      if (MatchRemap(entry.key, graph_fingerprint, remap) < remap.size()) {
+        return true;
+      }
     }
   }
-  return candidates;
+  return false;
 }
 
 DeltaEvictionStats ResultCache::RekeyForDelta(

@@ -94,13 +94,6 @@ struct DigestRemap {
   uint64_t to_digest = 0;
 };
 
-/// One entry a RekeyForDelta pass would visit: its source node and the
-/// index of the DigestRemap whose `from_digest` it is keyed under.
-struct RemapCandidate {
-  NodeId query = 0;
-  size_t remap_index = 0;
-};
-
 /// Outcome counters of one RekeyForDelta pass.
 struct DeltaEvictionStats {
   size_t retained = 0;  ///< entries rekeyed to the new version, bit-intact
@@ -157,13 +150,12 @@ class ResultCache {
       uint64_t graph_fingerprint, const std::vector<DigestRemap>& remap,
       const std::function<bool(NodeId, size_t)>& survives);
 
-  /// The entries RekeyForDelta(graph_fingerprint, remap, ·) would visit
-  /// right now, read under each shard lock in turn and changing nothing —
-  /// so a caller can size its survival work to what is actually cached
-  /// (and skip it when nothing is) without holding any lock while it runs.
-  std::vector<RemapCandidate> RemapCandidates(
-      uint64_t graph_fingerprint,
-      const std::vector<DigestRemap>& remap) const;
+  /// True when RekeyForDelta(graph_fingerprint, remap, ·) would visit at
+  /// least one entry right now. Reads each shard under its lock in turn
+  /// and changes nothing, so a caller can skip its survival work when
+  /// nothing is cached to carry.
+  bool HasRemapCandidates(uint64_t graph_fingerprint,
+                          const std::vector<DigestRemap>& remap) const;
 
   /// Drops every entry (monotonic counters are preserved).
   void Clear();

@@ -91,7 +91,9 @@ CsrOverlay PatchOverlay(const CsrOverlay& parent,
 /// Full O(nnz) scan: every row's |value| sum folded into one max.
 RowSumMax ScanRowSumMax(const CsrOverlay& m) {
   RowSumMax max;
-  for (int64_t r = 0; r < m.rows(); ++r) max.Offer(RowAbsSum(m.Row(r)));
+  m.ForEachRow(0, m.rows(), [&](int64_t, const CsrRowSpan& row) {
+    max.Offer(RowAbsSum(row));
+  });
   return max;
 }
 

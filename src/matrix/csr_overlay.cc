@@ -107,12 +107,11 @@ CsrMatrix CsrOverlay::Compact() const {
   col_idx.reserve(static_cast<size_t>(nnz_));
   values.reserve(static_cast<size_t>(nnz_));
   row_ptr.push_back(0);
-  for (int64_t r = 0; r < rows(); ++r) {
-    const CsrRowSpan row = Row(r);
+  ForEachRow(0, rows(), [&](int64_t, const CsrRowSpan& row) {
     col_idx.insert(col_idx.end(), row.cols, row.cols + row.nnz);
     values.insert(values.end(), row.vals, row.vals + row.nnz);
     row_ptr.push_back(static_cast<int64_t>(col_idx.size()));
-  }
+  });
   return CsrMatrix::FromSortedRows(rows(), cols(), std::move(row_ptr),
                                    std::move(col_idx), std::move(values));
 }
@@ -123,16 +122,13 @@ void CsrOverlay::MultiplyVector(const double* x, double* y) const {
   // spans. Every row's gather is the same ascending chain either way, so
   // the result is bitwise the per-row Row(r) loop's.
   base_->MultiplyVector(x, y);
-  if (patch_ == nullptr) return;
-  for (size_t i = 0; i < patch_->index.size(); ++i) {
-    const int64_t r = patch_->index[i];
-    const CsrRowSpan row = patch_->RowAt(static_cast<int64_t>(i));
+  ForEachPatchedRow([&](int64_t r, const CsrRowSpan& row) {
     double sum = 0.0;
     for (int64_t k = 0; k < row.nnz; ++k) {
       sum += row.vals[k] * x[row.cols[k]];
     }
     y[r] = sum;
-  }
+  });
 }
 
 void CsrOverlay::MultiplyVectorRange(int64_t row_begin, int64_t row_end,
@@ -143,14 +139,13 @@ void CsrOverlay::MultiplyVectorRange(int64_t row_begin, int64_t row_end,
   // scalar loop reproduces MultiplyVector's bits row for row — including
   // patched rows, which MultiplyVector overwrites with exactly this
   // gather.
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const CsrRowSpan row = Row(r);
+  ForEachRow(row_begin, row_end, [&](int64_t r, const CsrRowSpan& row) {
     double sum = 0.0;
     for (int64_t k = 0; k < row.nnz; ++k) {
       sum += row.vals[k] * x[row.cols[k]];
     }
     y[r] = sum;
-  }
+  });
 }
 
 void CsrOverlay::MultiplyVectorPremultiplied(const double* xp, const double* x,
@@ -162,17 +157,14 @@ void CsrOverlay::MultiplyVectorPremultiplied(const double* xp, const double* x,
     csr_kernels::SpmvPremultiplied(base_->rows(), row_ptr,
                                    base_->col_idx().data(), xp, cv, y, yp);
   });
-  if (patch_ == nullptr) return;
-  for (size_t i = 0; i < patch_->index.size(); ++i) {
-    const int64_t r = patch_->index[i];
-    const CsrRowSpan row = patch_->RowAt(static_cast<int64_t>(i));
+  ForEachPatchedRow([&](int64_t r, const CsrRowSpan& row) {
     double sum = 0.0;
     for (int64_t k = 0; k < row.nnz; ++k) {
       sum += row.vals[k] * x[row.cols[k]];
     }
     y[r] = sum;
     if (yp != nullptr) yp[r] = cv[r] * sum;
-  }
+  });
 }
 
 size_t CsrOverlay::OverlayByteSize() const {

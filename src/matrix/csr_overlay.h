@@ -10,9 +10,11 @@
 /// **patch** CSR holding full replacement rows for a (usually tiny) set of
 /// row indices. Row access tests one bit of an n-bit membership bitmap
 /// (n/8 bytes per version); only a patched row goes on to a binary search
-/// of the sorted patched-row list for its slot. Every other row reads the
-/// base storage directly, so any number of graph versions share one copy
-/// of their unmodified rows.
+/// of the sorted patched-row list for its slot, and loops over all patched
+/// rows or over a row range skip even that by walking the patch in slot
+/// order (ForEachPatchedRow, ForEachRow). Every other row reads the base
+/// storage directly, so any number of graph versions share one copy of
+/// their unmodified rows.
 ///
 /// Bit-compatibility contract (the dynamic differential-fuzz harness
 /// asserts it end to end): `Row(r)` exposes exactly the (column, value)
@@ -92,10 +94,35 @@ class CsrOverlay {
     if (patch_ != nullptr && patch_->Contains(r)) {
       return patch_->RowAt(patch_->SlotOf(r));
     }
-    const int64_t begin = base_->RowBegin(r);
-    return CsrRowSpan{base_->col_idx().data() + begin,
-                      base_->values().data() + begin,
-                      base_->RowEnd(r) - begin};
+    return BaseRow(r);
+  }
+
+  /// Calls `fn(r, Row(r))` for every replaced row r, ascending. Walks the
+  /// patch storage in slot order, so no row pays Row(r)'s lookup — the
+  /// form for loops over the patched rows alone (kernel fixups).
+  template <typename Fn>
+  void ForEachPatchedRow(Fn&& fn) const {
+    if (patch_ == nullptr) return;
+    for (size_t i = 0; i < patch_->index.size(); ++i) {
+      fn(patch_->index[i], patch_->RowAt(static_cast<int64_t>(i)));
+    }
+  }
+
+  /// Calls `fn(r, Row(r))` for every r in [row_begin, row_end), ascending,
+  /// in O(1) per row: the range's patched rows come in slot order, so one
+  /// binary search places a slot cursor that then only steps — the form
+  /// for loops over every row of a range.
+  template <typename Fn>
+  void ForEachRow(int64_t row_begin, int64_t row_end, Fn&& fn) const {
+    SRS_DCHECK(row_begin >= 0 && row_begin <= row_end && row_end <= rows());
+    int64_t slot = patch_ != nullptr ? patch_->SlotOf(row_begin) : 0;
+    for (int64_t r = row_begin; r < row_end; ++r) {
+      if (patch_ != nullptr && patch_->Contains(r)) {
+        fn(r, patch_->RowAt(slot++));
+      } else {
+        fn(r, BaseRow(r));
+      }
+    }
   }
 
   /// Returns a new overlay over the same base in which row `rows[i]` is
@@ -122,8 +149,8 @@ class CsrOverlay {
   /// chain MultiplyVector performs for that row, so the written entries
   /// are bitwise identical to a full MultiplyVector's — the primitive the
   /// sharded scatter/gather coordinator (shard/coordinator.h) partitions
-  /// the level recurrences with. Patched rows dispatch through Row(r)
-  /// like everywhere else.
+  /// the level recurrences with. Rows are read through ForEachRow, so a
+  /// patched row costs what a base row does.
   void MultiplyVectorRange(int64_t row_begin, int64_t row_end,
                            const double* x, double* y) const;
 
@@ -170,7 +197,8 @@ class CsrOverlay {
     bool Contains(int64_t r) const {
       return (bits[static_cast<size_t>(r) >> 6] >> (r & 63)) & 1;
     }
-    /// Position of patched row r in `index` (r must be patched).
+    /// Position of patched row r in `index` (for an unpatched r, of the
+    /// first patched row after it).
     int64_t SlotOf(int64_t r) const {
       return std::lower_bound(index.begin(), index.end(), r) - index.begin();
     }
@@ -181,6 +209,13 @@ class CsrOverlay {
                         rows.RowEnd(slot) - begin};
     }
   };
+
+  CsrRowSpan BaseRow(int64_t r) const {
+    const int64_t begin = base_->RowBegin(r);
+    return CsrRowSpan{base_->col_idx().data() + begin,
+                      base_->values().data() + begin,
+                      base_->RowEnd(r) - begin};
+  }
 
   std::shared_ptr<const CsrMatrix> base_;
   std::shared_ptr<const Patch> patch_;  ///< null when no row is replaced

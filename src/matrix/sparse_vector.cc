@@ -60,16 +60,27 @@ void SparseAccumulator::ScatterTransposed(const CsrMatrix& a,
 
 void SparseAccumulator::ScatterTransposed(const CsrOverlay& a,
                                           const SparseVector& x) {
-  for (size_t i = 0; i < x.idx.size(); ++i) {
-    if (i + kScatterPrefetchDistance < x.idx.size()) {
-      const CsrRowSpan ahead = a.Row(x.idx[i + kScatterPrefetchDistance]);
-      __builtin_prefetch(ahead.cols);
-      __builtin_prefetch(ahead.vals);
+  // Each frontier row is looked up once, kScatterPrefetchDistance entries
+  // ahead of its scatter (a patched row's lookup is a binary search), and
+  // its span waits in a ring until then.
+  const size_t count = x.idx.size();
+  CsrRowSpan ring[kScatterPrefetchDistance];
+  auto fetch = [&](size_t i) {
+    SRS_DCHECK(x.idx[i] >= 0 && x.idx[i] < a.rows());
+    const CsrRowSpan row = a.Row(x.idx[i]);
+    __builtin_prefetch(row.cols);
+    __builtin_prefetch(row.vals);
+    ring[i % kScatterPrefetchDistance] = row;
+  };
+  for (size_t i = 0; i < std::min(count, kScatterPrefetchDistance); ++i) {
+    fetch(i);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const CsrRowSpan row = ring[i % kScatterPrefetchDistance];
+    if (i + kScatterPrefetchDistance < count) {
+      fetch(i + kScatterPrefetchDistance);
     }
-    const int64_t j = x.idx[i];
-    SRS_DCHECK(j >= 0 && j < a.rows());
     const double xj = x.val[i];
-    const CsrRowSpan row = a.Row(j);
     for (int64_t k = 0; k < row.nnz; ++k) {
       const int32_t r = row.cols[k];
       // Same operand order as the row gather (see the CsrMatrix overload).

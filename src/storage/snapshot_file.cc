@@ -150,9 +150,9 @@ struct PendingSection {
 /// snapshot's gammas fold, so the section holds exactly their inputs.
 std::vector<double> AbsRowSums(const CsrOverlay& m) {
   std::vector<double> sums(static_cast<size_t>(m.rows()));
-  for (int64_t r = 0; r < m.rows(); ++r) {
-    sums[static_cast<size_t>(r)] = RowAbsSum(m.Row(r));
-  }
+  m.ForEachRow(0, m.rows(), [&](int64_t r, const CsrRowSpan& row) {
+    sums[static_cast<size_t>(r)] = RowAbsSum(row);
+  });
   return sums;
 }
 
