@@ -74,11 +74,6 @@ Status ValidateSimilarityOptions(const SimilarityOptions& options) {
   if (options.num_threads < 1) {
     return FieldError("num_threads", ">= 1", int64_t{options.num_threads});
   }
-  // 4096 is far past any sensible in-process shard count; the bound mainly
-  // keeps a garbled wire value from allocating absurd per-shard state.
-  if (options.shards < 0 || options.shards > 4096) {
-    return FieldError("shards", "in [0, 4096]", int64_t{options.shards});
-  }
   return Status::OK();
 }
 
@@ -131,10 +126,6 @@ SimilarityOptionsBuilder& SimilarityOptionsBuilder::TopKEarlyTermination(
 }
 SimilarityOptionsBuilder& SimilarityOptionsBuilder::NumThreads(int v) {
   options_.num_threads = v;
-  return *this;
-}
-SimilarityOptionsBuilder& SimilarityOptionsBuilder::Shards(int v) {
-  options_.shards = v;
   return *this;
 }
 SimilarityOptionsBuilder& SimilarityOptionsBuilder::NumNodesBound(

@@ -83,17 +83,6 @@ struct SimilarityOptions {
   /// identical for any value. Use srs::HardwareThreads() for all cores.
   int num_threads = 1;
 
-  /// In-process graph shards (shard/coordinator.h): when >= 2, queries are
-  /// served by a ShardCoordinator that partitions the node range into
-  /// `shards` contiguous slices, fans each level of the recurrence out
-  /// across them, and merges the per-shard partial rows — bit-identical to
-  /// the unsharded path at prune_epsilon = 0 (the sharded compute
-  /// replicates the reference per-row arithmetic; the differential fuzz
-  /// suite asserts it). 0 or 1 (the default) serves unsharded. Values >= 2
-  /// are folded into ResultDigest (normalized: <= 1 folds as 0), so
-  /// sharded and unsharded answers never alias in a shared ResultCache.
-  int shards = 0;
-
   /// Validates ranges; call before running an algorithm. Equivalent to
   /// ValidateSimilarityOptions(*this) — every field check lives there.
   Status Validate() const;
@@ -146,7 +135,6 @@ class SimilarityOptionsBuilder {
   SimilarityOptionsBuilder& TopK(int v);
   SimilarityOptionsBuilder& TopKEarlyTermination(bool v);
   SimilarityOptionsBuilder& NumThreads(int v);
-  SimilarityOptionsBuilder& Shards(int v);
 
   /// Bounds top_k by a graph's node count: with this set, Build() requires
   /// 1 <= top_k <= num_nodes whenever top_k > 0 (the check srs_query and

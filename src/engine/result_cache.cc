@@ -67,13 +67,6 @@ uint64_t ResultDigest(const SimilarityOptions& options, int measure_tag,
   h = HashCombine(h, options.top_k > 0
                          ? static_cast<uint64_t>(options.topk_early_termination)
                          : uint64_t{1});
-  // Sharded serving (shard/coordinator.h) is bit-identical to unsharded
-  // only at prune_epsilon = 0, so a sharded configuration must never alias
-  // an unsharded one. 0 and 1 shards are both the unsharded path — fold
-  // them identically so pre-existing digests (and golden cache behavior)
-  // are unchanged.
-  h = HashCombine(h, options.shards > 1 ? static_cast<uint64_t>(options.shards)
-                                        : uint64_t{0});
   return h;
 }
 

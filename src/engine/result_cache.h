@@ -47,10 +47,8 @@ namespace srs {
 /// answers never alias. The top-k knobs (`top_k`,
 /// `topk_early_termination`) are folded in too: a top-k configuration
 /// caches encoded rankings, not full rows, and the two must never collide
-/// (full-row engines normalize `top_k` to 0). The shard count (`shards`,
-/// normalized so 0 and 1 fold identically) is included, so sharded and
-/// unsharded answers never alias. `num_threads` and `sieve_threshold` are
-/// excluded — they never change engine output.
+/// (full-row engines normalize `top_k` to 0). `num_threads` and
+/// `sieve_threshold` are excluded — they never change engine output.
 ///
 /// `version_fingerprint` is the snapshot's version identity
 /// (GraphSnapshot::version_fingerprint, 0 for an unversioned graph). The

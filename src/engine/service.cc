@@ -19,8 +19,6 @@ namespace {
 constexpr int kShapeFullRow = 0;
 constexpr int kShapeRanked = 1;
 constexpr int kShapeStream = 2;
-constexpr int kShapeShardedFull = 3;
-constexpr int kShapeShardedRanked = 4;
 
 SnapshotCache* ResolveSnapshotCache(const SrsServiceOptions& options) {
   return options.snapshot_cache != nullptr ? options.snapshot_cache
@@ -163,29 +161,6 @@ Result<std::shared_ptr<SrsService::EngineSlot>> SrsService::GetSlot(
   return slot;
 }
 
-Result<std::shared_ptr<const ShardedGraph>> SrsService::ShardedGraphFor(
-    int shards, uint64_t version) {
-  if (version == served_version_ && head_snapshot_ != nullptr) {
-    auto it = sharded_heads_.find(shards);
-    if (it != sharded_heads_.end() &&
-        it->second->snapshot()->version_fingerprint ==
-            head_snapshot_->version_fingerprint) {
-      return it->second;
-    }
-    std::shared_ptr<const ShardedGraph> sharded =
-        ShardedGraph::Create(head_snapshot_, shards,
-                             EdgeBalancedPartitioner());
-    sharded_heads_[shards] = sharded;
-    return sharded;
-  }
-  // Historical version: an ad-hoc view over its snapshot — correct, just
-  // not carried across deltas (old versions are not where deltas land).
-  SRS_ASSIGN_OR_RETURN(std::shared_ptr<const GraphSnapshot> snapshot,
-                       ResolveSnapshotCache(options_)->Get(graph_, version));
-  return ShardedGraph::Create(std::move(snapshot), shards,
-                              EdgeBalancedPartitioner());
-}
-
 Result<QueryResponse> SrsService::Query(const QueryRequest& request) {
   std::lock_guard<std::mutex> lock(mu_);
   if (request.deadline.has_value() &&
@@ -206,69 +181,7 @@ Result<QueryResponse> SrsService::Query(const QueryRequest& request) {
   response.ranked = ranked;
   ++stats_.queries;
 
-  if (request.options.shards >= 2) {
-    // Sharded serving: both shapes run through one ShardCoordinator per
-    // (options digest, version). Answers are bit-identical to the
-    // unsharded branches below at prune_epsilon = 0 (shard/coordinator.h),
-    // but cached and memoized under shard-folded digests, so the two
-    // serving modes never alias.
-    const int shape = ranked ? kShapeShardedRanked : kShapeShardedFull;
-    const uint64_t key = EngineKey(shape, request.options, version);
-    SRS_ASSIGN_OR_RETURN(
-        std::shared_ptr<EngineSlot> slot,
-        GetSlot(key, &response.engine_reused, [&](EngineSlot* s) -> Status {
-          SRS_ASSIGN_OR_RETURN(
-              std::shared_ptr<const ShardedGraph> sharded,
-              ShardedGraphFor(request.options.shards, version));
-          ShardCoordinatorOptions opts;
-          opts.similarity = request.options;
-          opts.num_threads = options_.num_threads;
-          opts.result_cache = options_.result_cache;
-          SRS_ASSIGN_OR_RETURN(
-              ShardCoordinator coordinator,
-              ShardCoordinator::Create(std::move(sharded), opts));
-          s->sharded =
-              std::make_unique<ShardCoordinator>(std::move(coordinator));
-          return Status::OK();
-        }));
-    const double resolve_s = timed ? stage.Seconds() : 0.0;
-    if (ranked) {
-      SRS_ASSIGN_OR_RETURN(
-          std::vector<TopKResult> results,
-          slot->sharded->BatchTopK(request.measure, request.sources));
-      response.rows.resize(results.size());
-      for (size_t i = 0; i < results.size(); ++i) {
-        QueryRowResult& row = response.rows[i];
-        row.source = request.sources[i];
-        row.ranking = std::move(results[i].ranking);
-        row.levels_evaluated = results[i].levels_evaluated;
-        row.levels_total = results[i].levels_total;
-        row.residual_bound = results[i].residual_bound;
-        row.served_from_cache = results[i].served_from_cache;
-      }
-    } else {
-      SRS_ASSIGN_OR_RETURN(
-          std::vector<std::vector<double>> scores,
-          slot->sharded->BatchScores(request.measure, request.sources));
-      response.rows.resize(scores.size());
-      for (size_t i = 0; i < scores.size(); ++i) {
-        response.rows[i].source = request.sources[i];
-        response.rows[i].scores = std::move(scores[i]);
-      }
-    }
-    if (timed) {
-      const double compute_s = stage.Seconds() - resolve_s;
-      const char* shape_name = ranked ? "ranked" : "full";
-      QueryBatchSecondsHistogram(shape_name)->Observe(compute_s);
-      QueryBatchSourcesHistogram(shape_name)->Observe(
-          static_cast<double>(request.sources.size()));
-      if (request.collect_trace) {
-        response.trace.collected = true;
-        response.trace.resolve_ms = resolve_s * 1e3;
-        response.trace.compute_ms = compute_s * 1e3;
-      }
-    }
-  } else if (ranked) {
+  if (ranked) {
     const uint64_t key = EngineKey(kShapeRanked, request.options, version);
     SRS_ASSIGN_OR_RETURN(
         std::shared_ptr<EngineSlot> slot,
@@ -460,12 +373,6 @@ Result<uint64_t> SrsService::ApplyDelta(const EdgeDelta& delta) {
                        << " failed: " << propagated.status().ToString();
     }
     end_stage("propagate");
-  }
-  // Carry the sharded head views across the version step. Derive reuses
-  // the cut points and adjusts per-shard statistics from delta_touched —
-  // O(|touched| + shards) per view instead of an O(n) rebuild.
-  for (auto& entry : sharded_heads_) {
-    entry.second = ShardedGraph::Derive(entry.second, child);
   }
   // The swap: from here on, kLatestVersion resolves to the child. Requests
   // already dispatched finished before we took the lock, so every response

@@ -34,7 +34,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -53,7 +52,6 @@
 #include "srs/graph/versioned_graph.h"
 #include "srs/observability/metrics.h"
 #include "srs/observability/trace.h"
-#include "srs/shard/coordinator.h"
 #include "srs/storage/data_dir.h"
 
 namespace srs {
@@ -70,10 +68,7 @@ struct QueryRequest {
 
   /// Full measure configuration. `top_k == 0` serves full score rows;
   /// `top_k >= 1` serves rankings through the early-terminating TopKEngine.
-  /// `shards >= 2` routes either shape through a ShardCoordinator
-  /// (shard/coordinator.h) instead — bit-identical answers at
-  /// prune_epsilon = 0, partitioned serving. `num_threads` is ignored —
-  /// the service's pool size governs.
+  /// `num_threads` is ignored — the service's pool size governs.
   SimilarityOptions options;
 
   /// Graph version to serve; kLatestVersion means the currently served
@@ -287,7 +282,6 @@ class SrsService {
     std::unique_ptr<QueryEngine> full;
     std::unique_ptr<TopKEngine> ranked;
     std::unique_ptr<AllPairsEngine> rows;
-    std::unique_ptr<ShardCoordinator> sharded;
   };
 
   SrsService(VersionedGraph graph, const SrsServiceOptions& options);
@@ -308,13 +302,6 @@ class SrsService {
   Result<std::shared_ptr<EngineSlot>> GetSlot(uint64_t key, bool* reused,
                                               BuildFn build);
 
-  /// The sharded view serving (shards, version). The served head's views
-  /// are memoized per shard count and carried across ApplyDelta
-  /// incrementally (ShardedGraph::Derive); historical versions build an
-  /// ad-hoc view from their snapshot. Call with `mu_` held.
-  Result<std::shared_ptr<const ShardedGraph>> ShardedGraphFor(
-      int shards, uint64_t version);
-
   SrsServiceOptions options_;
   VersionedGraph graph_;
   /// Durable snapshot/WAL pair; null when `options.data_dir` is empty.
@@ -326,9 +313,6 @@ class SrsService {
   /// Snapshot of the served head — the propagation parent of the next
   /// delta.
   std::shared_ptr<const GraphSnapshot> head_snapshot_;
-  /// Sharded views of the head, one per shard count in active use —
-  /// re-derived (not rebuilt) on every ApplyDelta.
-  std::map<int, std::shared_ptr<const ShardedGraph>> sharded_heads_;
   std::vector<std::shared_ptr<EngineSlot>> engines_;
   uint64_t use_counter_ = 0;
   ServiceStats stats_;

@@ -91,7 +91,7 @@ CsrOverlay PatchOverlay(const CsrOverlay& parent,
 /// Full O(nnz) scan: every row's |value| sum folded into one max.
 RowSumMax ScanRowSumMax(const CsrOverlay& m) {
   RowSumMax max;
-  m.ForEachRow(0, m.rows(), [&](int64_t, const CsrRowSpan& row) {
+  m.ForEachRow([&](int64_t, const CsrRowSpan& row) {
     max.Offer(RowAbsSum(row));
   });
   return max;

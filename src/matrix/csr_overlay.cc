@@ -107,7 +107,7 @@ CsrMatrix CsrOverlay::Compact() const {
   col_idx.reserve(static_cast<size_t>(nnz_));
   values.reserve(static_cast<size_t>(nnz_));
   row_ptr.push_back(0);
-  ForEachRow(0, rows(), [&](int64_t, const CsrRowSpan& row) {
+  ForEachRow([&](int64_t, const CsrRowSpan& row) {
     col_idx.insert(col_idx.end(), row.cols, row.cols + row.nnz);
     values.insert(values.end(), row.vals, row.vals + row.nnz);
     row_ptr.push_back(static_cast<int64_t>(col_idx.size()));
@@ -123,23 +123,6 @@ void CsrOverlay::MultiplyVector(const double* x, double* y) const {
   // the result is bitwise the per-row Row(r) loop's.
   base_->MultiplyVector(x, y);
   ForEachPatchedRow([&](int64_t r, const CsrRowSpan& row) {
-    double sum = 0.0;
-    for (int64_t k = 0; k < row.nnz; ++k) {
-      sum += row.vals[k] * x[row.cols[k]];
-    }
-    y[r] = sum;
-  });
-}
-
-void CsrOverlay::MultiplyVectorRange(int64_t row_begin, int64_t row_end,
-                                     const double* x, double* y) const {
-  SRS_DCHECK(row_begin >= 0 && row_begin <= row_end && row_end <= rows());
-  // Per-row Row(r) gathers. Every SpMV rung keeps one strict ascending
-  // accumulation chain per output row (matrix/csr_kernels.h), so this
-  // scalar loop reproduces MultiplyVector's bits row for row — including
-  // patched rows, which MultiplyVector overwrites with exactly this
-  // gather.
-  ForEachRow(row_begin, row_end, [&](int64_t r, const CsrRowSpan& row) {
     double sum = 0.0;
     for (int64_t k = 0; k < row.nnz; ++k) {
       sum += row.vals[k] * x[row.cols[k]];

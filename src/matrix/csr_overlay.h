@@ -10,8 +10,8 @@
 /// **patch** CSR holding full replacement rows for a (usually tiny) set of
 /// row indices. Row access tests one bit of an n-bit membership bitmap
 /// (n/8 bytes per version); only a patched row goes on to a binary search
-/// of the sorted patched-row list for its slot, and loops over all patched
-/// rows or over a row range skip even that by walking the patch in slot
+/// of the sorted patched-row list for its slot, and loops over the patched
+/// rows or over every row skip even that by walking the patch in slot
 /// order (ForEachPatchedRow, ForEachRow). Every other row reads the base
 /// storage directly, so any number of graph versions share one copy of
 /// their unmodified rows.
@@ -82,11 +82,6 @@ class CsrOverlay {
                              static_cast<double>(rows());
   }
 
-  bool IsPatched(int64_t r) const {
-    SRS_DCHECK(r >= 0 && r < rows());
-    return patch_ != nullptr && patch_->Contains(r);
-  }
-
   /// The row's (column, value) entries — patch storage if replaced, base
   /// storage otherwise.
   CsrRowSpan Row(int64_t r) const {
@@ -108,15 +103,13 @@ class CsrOverlay {
     }
   }
 
-  /// Calls `fn(r, Row(r))` for every r in [row_begin, row_end), ascending,
-  /// in O(1) per row: the range's patched rows come in slot order, so one
-  /// binary search places a slot cursor that then only steps — the form
-  /// for loops over every row of a range.
+  /// Calls `fn(r, Row(r))` for every row r, ascending, in O(1) per row:
+  /// the patched rows come in slot order, so a slot cursor only steps —
+  /// the form for loops over every row.
   template <typename Fn>
-  void ForEachRow(int64_t row_begin, int64_t row_end, Fn&& fn) const {
-    SRS_DCHECK(row_begin >= 0 && row_begin <= row_end && row_end <= rows());
-    int64_t slot = patch_ != nullptr ? patch_->SlotOf(row_begin) : 0;
-    for (int64_t r = row_begin; r < row_end; ++r) {
+  void ForEachRow(Fn&& fn) const {
+    int64_t slot = 0;
+    for (int64_t r = 0; r < rows(); ++r) {
       if (patch_ != nullptr && patch_->Contains(r)) {
         fn(r, patch_->RowAt(slot++));
       } else {
@@ -142,17 +135,6 @@ class CsrOverlay {
   /// order) as CsrMatrix::MultiplyVector, hence bitwise identical to
   /// multiplying by Compact(). `x` has cols() entries, `y` rows().
   void MultiplyVector(const double* x, double* y) const;
-
-  /// Row-range slice of MultiplyVector: computes `y[r] = (this * x)[r]`
-  /// for r in [row_begin, row_end) only, leaving every other entry of `y`
-  /// untouched. Each row is the same ascending (column, value) gather
-  /// chain MultiplyVector performs for that row, so the written entries
-  /// are bitwise identical to a full MultiplyVector's — the primitive the
-  /// sharded scatter/gather coordinator (shard/coordinator.h) partitions
-  /// the level recurrences with. Rows are read through ForEachRow, so a
-  /// patched row costs what a base row does.
-  void MultiplyVectorRange(int64_t row_begin, int64_t row_end,
-                           const double* x, double* y) const;
 
   /// The base matrix's per-column constant values when it is column-
   /// constant (CsrMatrix::ColumnConstantValues), else null. Patches never
@@ -197,8 +179,7 @@ class CsrOverlay {
     bool Contains(int64_t r) const {
       return (bits[static_cast<size_t>(r) >> 6] >> (r & 63)) & 1;
     }
-    /// Position of patched row r in `index` (for an unpatched r, of the
-    /// first patched row after it).
+    /// Position of patched row r in `index`.
     int64_t SlotOf(int64_t r) const {
       return std::lower_bound(index.begin(), index.end(), r) - index.begin();
     }

@@ -99,10 +99,6 @@ Status ParseQueryFields(const JsonValue& doc,
        [](SimilarityOptionsBuilder* b, double v) {
          b->TopK(static_cast<int>(v));
        }},
-      {"shards", true,
-       [](SimilarityOptionsBuilder* b, double v) {
-         b->Shards(static_cast<int>(v));
-       }},
   };
   for (const NumberKnob& knob : kKnobs) {
     if (const JsonValue* v = doc.Find(knob.key)) {

@@ -14,8 +14,7 @@
 ///   {"op":"shutdown"}
 ///
 /// Query options (`damping`, `iterations`, `epsilon`, `top_k`, `backend`,
-/// `prune_epsilon`, `topk_early_termination`, `shards`, `version`) default
-/// to the
+/// `prune_epsilon`, `topk_early_termination`, `version`) default to the
 /// server's serving configuration; a request overrides only the fields it
 /// names, and the merged options are validated by the same
 /// SimilarityOptionsBuilder the library uses — a bad field fails the one

@@ -29,6 +29,15 @@ uint64_t CoalescingKey(const QueryRequest& request) {
   return FnvHashCombine(h, request.version);
 }
 
+/// The `"id"` of a line ParseRequestLine rejected, so its error response
+/// still echoes it: null unless the line is a JSON object carrying one.
+JsonValue RejectedRequestId(const std::string& line) {
+  Result<JsonValue> doc = ParseJson(line);
+  if (!doc.ok() || !doc->is_object()) return JsonValue();
+  const JsonValue* id = doc->Find("id");
+  return id != nullptr ? *id : JsonValue();
+}
+
 }  // namespace
 
 SrsServer::SrsServer(SrsService* service, const ServerOptions& options)
@@ -167,7 +176,8 @@ void SrsServer::HandleConnection(int fd) {
         ParseRequestLine(line, service_->default_similarity());
     if (!parsed.ok()) {
       CountResponse(false);
-      WriteLine(fd, MakeErrorResponse(JsonValue(), kStatusInvalidRequest,
+      WriteLine(fd, MakeErrorResponse(RejectedRequestId(line),
+                                      kStatusInvalidRequest,
                                       parsed.status().message())
                         .Encode());
       continue;

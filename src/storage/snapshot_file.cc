@@ -150,7 +150,7 @@ struct PendingSection {
 /// snapshot's gammas fold, so the section holds exactly their inputs.
 std::vector<double> AbsRowSums(const CsrOverlay& m) {
   std::vector<double> sums(static_cast<size_t>(m.rows()));
-  m.ForEachRow(0, m.rows(), [&](int64_t r, const CsrRowSpan& row) {
+  m.ForEachRow([&](int64_t r, const CsrRowSpan& row) {
     sums[static_cast<size_t>(r)] = RowAbsSum(row);
   });
   return sums;

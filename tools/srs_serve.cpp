@@ -3,16 +3,10 @@
 // Usage:
 //   srs_serve --graph FILE [--port N] [--threads N] [--undirected]
 //             [--damping C] [--iterations K | --epsilon E]
-//             [--backend dense|sparse] [--prune-eps E] [--shards S]
+//             [--backend dense|sparse] [--prune-eps E]
 //             [--cache-mb MB] [--max-batch N] [--max-pending N]
 //             [--data-dir DIR] [--wal-max-mb MB]
 //             [--metrics-port N] [--no-metrics]
-//
-// --shards S (>= 2) makes sharded scatter/gather serving the default:
-// queries fan each level of the recurrence out across S contiguous node
-// ranges (shard/coordinator.h) with answers bit-identical to unsharded
-// serving at prune-eps 0. Requests can still override per request with
-// the "shards" option.
 //
 // Loads the graph once, builds an SrsService over it, and serves the
 // line-delimited JSON protocol of src/server/protocol.h on
@@ -100,7 +94,7 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s --graph FILE [--port N] [--threads N] [--undirected]\n"
       "          [--damping C] [--iterations K] [--epsilon E]\n"
-      "          [--backend dense|sparse] [--prune-eps E] [--shards S]\n"
+      "          [--backend dense|sparse] [--prune-eps E]\n"
       "          [--cache-mb MB] [--max-batch N] [--max-pending N]\n"
       "          [--data-dir DIR] [--wal-max-mb MB]\n"
       "          [--metrics-port N] [--no-metrics]\n"
@@ -147,11 +141,6 @@ bool ParseCli(int argc, char** argv, CliOptions* options) {
         return false;
       }
       options->sim.num_threads = t <= 0 ? srs::HardwareThreads() : t;
-    } else if (arg == "--shards") {
-      if (!ParseIntFlag("--shards", next_value(), 0, 4096,
-                        &options->sim.shards)) {
-        return false;
-      }
     } else if (arg == "--damping") {
       if (!ParseDoubleFlag("--damping", next_value(),
                            &options->sim.damping)) {
