@@ -104,6 +104,14 @@ class AllPairsEngine {
     return eval_.snapshot();
   }
 
+  /// Serves `snapshot`, another version of the same graph, from the next
+  /// call on (MeasureEvaluator::Rebind); the pool, workspaces and tile
+  /// buffers stay warm. Rows are bit-identical to a new engine's over
+  /// `snapshot`.
+  void Rebind(std::shared_ptr<const GraphSnapshot> snapshot) {
+    eval_.Rebind(std::move(snapshot), options_.similarity);
+  }
+
   /// Streams ŝ(source, ·) for every source, tile by tile, invoking `fn` in
   /// ascending index order. The source set must be non-empty
   /// (InvalidArgument) and every node in range (OutOfRange); on error no

@@ -26,8 +26,7 @@ int QueryMeasureTag(QueryMeasure measure) {
 MeasureEvaluator::MeasureEvaluator(
     std::shared_ptr<const GraphSnapshot> snapshot,
     const SimilarityOptions& similarity)
-    : snapshot_(std::move(snapshot)),
-      backend_(MakeKernelBackend(similarity)),
+    : backend_(MakeKernelBackend(similarity)),
       damping_(similarity.damping) {
   const int k_geo = EffectiveIterations(similarity, /*exponential=*/false);
   const int k_exp = EffectiveIterations(similarity, /*exponential=*/true);
@@ -35,6 +34,15 @@ MeasureEvaluator::MeasureEvaluator(
   exponential_weights_ =
       ExponentialStarLengthWeights(similarity.damping, k_exp);
   rwr_iterations_ = k_geo;
+  Rebind(std::move(snapshot), similarity);
+}
+
+void MeasureEvaluator::Rebind(std::shared_ptr<const GraphSnapshot> snapshot,
+                              const SimilarityOptions& similarity) {
+  SRS_CHECK(snapshot_ == nullptr ||
+            snapshot->num_nodes == snapshot_->num_nodes)
+      << "rebind across graphs of different sizes";
+  snapshot_ = std::move(snapshot);
   for (QueryMeasure m : {QueryMeasure::kSimRankStarGeometric,
                          QueryMeasure::kSimRankStarExponential,
                          QueryMeasure::kRwr}) {
@@ -44,8 +52,8 @@ MeasureEvaluator::MeasureEvaluator(
     digests_[QueryMeasureTag(m)] = ResultDigest(
         similarity, QueryMeasureTag(m), snapshot_->version_fingerprint);
   }
-  // O(k_max) from the snapshot's memoized row sums — engine creation over
-  // a cached snapshot does no O(nnz) work.
+  // O(k_max) from the snapshot's memoized row sums — binding a cached
+  // snapshot does no O(nnz) work.
   tails_[QueryMeasureTag(QueryMeasure::kSimRankStarGeometric)] =
       BinomialResidualTails(geometric_weights_, snapshot_->gamma_q,
                             snapshot_->gamma_qt);

@@ -90,6 +90,15 @@ class MeasureEvaluator {
   }
   int64_t num_nodes() const { return snapshot_->num_nodes; }
 
+  /// Points the evaluator at another version of the same graph (equal
+  /// node count): swaps the snapshot and recomputes what depends on it,
+  /// the version-fingerprinted digests and the residual tails, in
+  /// O(k_max). The backend, and so every workspace it made, and the
+  /// series weights are kept. `similarity` must be the options this
+  /// evaluator was built with.
+  void Rebind(std::shared_ptr<const GraphSnapshot> snapshot,
+              const SimilarityOptions& similarity);
+
   /// Fresh per-worker scratch owned by this evaluator's backend.
   std::unique_ptr<KernelWorkspace> NewWorkspace() const {
     return backend_->NewWorkspace();
@@ -196,6 +205,14 @@ class QueryEngine {
   /// The shared snapshot this engine serves from.
   const std::shared_ptr<const GraphSnapshot>& snapshot() const {
     return eval_.snapshot();
+  }
+
+  /// Serves `snapshot`, another version of the same graph, from the next
+  /// batch on (MeasureEvaluator::Rebind); the pool, workspaces and score
+  /// buffers stay warm. Answers are bit-identical to a new engine's over
+  /// `snapshot`.
+  void Rebind(std::shared_ptr<const GraphSnapshot> snapshot) {
+    eval_.Rebind(std::move(snapshot), options_.similarity);
   }
 
   /// Full score vectors ŝ(q, ·), one per query, in batch order. The batch

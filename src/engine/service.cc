@@ -25,6 +25,30 @@ SnapshotCache* ResolveSnapshotCache(const SrsServiceOptions& options) {
                                            : &GlobalSnapshotCache();
 }
 
+/// Memo key of one (shape, options) engine configuration. ResultDigest
+/// folds every score-affecting option; the shape tag keeps the three
+/// engine kinds from ever sharing a slot even under identical options. No
+/// version: a slot's engine is rebound to each request's.
+uint64_t EngineKey(int shape_tag, const SimilarityOptions& options) {
+  const uint64_t h = FnvHashCombine(kFnvOffsetBasis,
+                                    static_cast<uint64_t>(shape_tag));
+  return FnvHashCombine(h, ResultDigest(options, shape_tag));
+}
+
+/// Points a warm engine at `version` of `graph` unless it already serves
+/// it. The warm path costs one integer compare; a version step costs a
+/// snapshot-cache lookup and the evaluator's O(k_max) rebind, and keeps
+/// the engine's pool and workspaces.
+template <typename Engine>
+Status BindVersion(Engine* engine, const VersionedGraph& graph,
+                   uint64_t version, SnapshotCache* cache) {
+  if (engine->snapshot()->version == version) return Status::OK();
+  SRS_ASSIGN_OR_RETURN(std::shared_ptr<const GraphSnapshot> snapshot,
+                       cache->Get(graph, version));
+  engine->Rebind(std::move(snapshot));
+  return Status::OK();
+}
+
 }  // namespace
 
 SrsService::SrsService(VersionedGraph graph, const SrsServiceOptions& options)
@@ -116,19 +140,6 @@ Result<uint64_t> SrsService::ResolveVersion(uint64_t requested) const {
   return requested;
 }
 
-uint64_t SrsService::EngineKey(int shape_tag,
-                               const SimilarityOptions& options,
-                               uint64_t version) const {
-  // ResultDigest already folds every score-affecting option plus the
-  // version fingerprint; the shape tag keeps the three engine kinds from
-  // ever sharing a slot even under identical options.
-  uint64_t h = FnvHashCombine(kFnvOffsetBasis,
-                              static_cast<uint64_t>(shape_tag));
-  h = FnvHashCombine(
-      h, ResultDigest(options, shape_tag, graph_.VersionFingerprint(version)));
-  return FnvHashCombine(h, version);
-}
-
 template <typename BuildFn>
 Result<std::shared_ptr<SrsService::EngineSlot>> SrsService::GetSlot(
     uint64_t key, bool* reused, BuildFn build) {
@@ -182,7 +193,7 @@ Result<QueryResponse> SrsService::Query(const QueryRequest& request) {
   ++stats_.queries;
 
   if (ranked) {
-    const uint64_t key = EngineKey(kShapeRanked, request.options, version);
+    const uint64_t key = EngineKey(kShapeRanked, request.options);
     SRS_ASSIGN_OR_RETURN(
         std::shared_ptr<EngineSlot> slot,
         GetSlot(key, &response.engine_reused, [&](EngineSlot* s) -> Status {
@@ -196,6 +207,8 @@ Result<QueryResponse> SrsService::Query(const QueryRequest& request) {
           s->ranked = std::make_unique<TopKEngine>(std::move(engine));
           return Status::OK();
         }));
+    SRS_RETURN_NOT_OK(BindVersion(slot->ranked.get(), graph_, version,
+                                  ResolveSnapshotCache(options_)));
     const double resolve_s = timed ? stage.Seconds() : 0.0;
     SRS_ASSIGN_OR_RETURN(
         std::vector<TopKResult> results,
@@ -222,7 +235,7 @@ Result<QueryResponse> SrsService::Query(const QueryRequest& request) {
       row.served_from_cache = results[i].served_from_cache;
     }
   } else {
-    const uint64_t key = EngineKey(kShapeFullRow, request.options, version);
+    const uint64_t key = EngineKey(kShapeFullRow, request.options);
     SRS_ASSIGN_OR_RETURN(
         std::shared_ptr<EngineSlot> slot,
         GetSlot(key, &response.engine_reused, [&](EngineSlot* s) -> Status {
@@ -236,6 +249,8 @@ Result<QueryResponse> SrsService::Query(const QueryRequest& request) {
           s->full = std::make_unique<QueryEngine>(std::move(engine));
           return Status::OK();
         }));
+    SRS_RETURN_NOT_OK(BindVersion(slot->full.get(), graph_, version,
+                                  ResolveSnapshotCache(options_)));
     const double resolve_s = timed ? stage.Seconds() : 0.0;
     SRS_ASSIGN_OR_RETURN(
         std::vector<std::vector<double>> scores,
@@ -266,13 +281,14 @@ Result<QueryResponse> SrsService::Query(const QueryRequest& request) {
 
 Status SrsService::StreamRows(const QueryRequest& request,
                               const RowCallback& fn) {
-  // The service lock covers only version/slot resolution. The stream
-  // itself — and therefore every `fn` invocation — runs outside it, so a
-  // callback that re-enters the service (Stats(), Query(), another
+  // The service lock covers only version, snapshot and slot resolution.
+  // The stream itself — and therefore every `fn` invocation — runs outside
+  // it, so a callback that re-enters the service (Stats(), Query(), another
   // StreamRows) cannot self-deadlock. The engine only reads its immutable
   // snapshot, so a concurrent ApplyDelta is safe; eviction of this slot
   // mid-stream is safe too (the shared_ptr keeps the engine alive).
   std::shared_ptr<EngineSlot> slot;
+  std::shared_ptr<const GraphSnapshot> snapshot;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (request.deadline.has_value() &&
@@ -281,7 +297,11 @@ Status SrsService::StreamRows(const QueryRequest& request,
     }
     SRS_ASSIGN_OR_RETURN(const uint64_t version,
                          ResolveVersion(request.version));
-    const uint64_t key = EngineKey(kShapeStream, request.options, version);
+    // The chain is read here, under the lock; the engine is rebound to
+    // this snapshot only once its own lock is held below.
+    SRS_ASSIGN_OR_RETURN(snapshot,
+                         ResolveSnapshotCache(options_)->Get(graph_, version));
+    const uint64_t key = EngineKey(kShapeStream, request.options);
     bool reused = false;
     SRS_ASSIGN_OR_RETURN(
         slot, GetSlot(key, &reused, [&](EngineSlot* s) -> Status {
@@ -301,8 +321,12 @@ Status SrsService::StreamRows(const QueryRequest& request,
   }
   {
     // Engines are thread-compatible: two streams that resolved the same
-    // slot serialize here, outside the service lock.
+    // slot serialize here, outside the service lock, and each points the
+    // engine at its own version.
     std::lock_guard<std::mutex> exec(slot->exec_mu);
+    if (slot->rows->snapshot()->version != snapshot->version) {
+      slot->rows->Rebind(std::move(snapshot));
+    }
     Timer stream_timer;
     SRS_RETURN_NOT_OK(
         slot->rows->ForEachRow(request.measure, request.sources, fn));

@@ -15,9 +15,12 @@
 ///    full-row vs ranked serving), the graph version to serve, and an
 ///    optional deadline;
 ///  * the service owns the `VersionedGraph` and a small LRU of warm
-///    engines keyed by (serving shape, options digest, version), so
-///    repeated requests with the same configuration reuse a live engine —
-///    pool, workspaces, and snapshot already in place;
+///    engines keyed by (serving shape, options digest), so repeated
+///    requests with the same configuration reuse a live engine — pool and
+///    workspaces already in place. A request for another version than the
+///    engine's rebinds it (an O(k_max) swap of snapshot, digests and
+///    residual tails) instead of building a new one, so a delta costs the
+///    serving path no engine construction;
 ///  * `ApplyDelta` is the graceful update path: it applies the EdgeDelta,
 ///    derives the child snapshot incrementally from the served parent,
 ///    carries provably-unaffected ResultCache rows across the version
@@ -115,7 +118,9 @@ struct QueryResponse {
   /// True when rows carry rankings, false when full score rows.
   bool ranked = false;
 
-  /// True when a warm engine served this request (no engine construction).
+  /// True when a warm engine served this request (no engine
+  /// construction), also when it was first rebound to the request's
+  /// version.
   bool engine_reused = false;
 
   /// Stage timings, filled when the request set `collect_trace` (the
@@ -151,7 +156,7 @@ struct SrsServiceOptions {
   SnapshotCache* snapshot_cache = nullptr;
 
   /// Warm engines kept in the service's LRU. Each entry holds one engine
-  /// (one serving shape × options digest × version).
+  /// (one serving shape × options digest), which serves every version.
   size_t max_engines = 8;
 
   /// Data directory for the durable snapshot + delta WAL pair
@@ -271,10 +276,13 @@ class SrsService {
 
  private:
   /// One warm engine: exactly one of the three pointers is set, matching
-  /// the shape folded into `key`. Slots are shared_ptrs so an engine
-  /// streaming outside the service lock survives its own LRU eviction;
-  /// `exec_mu` serializes use of the (thread-compatible) engine by
-  /// streams that have left the service lock.
+  /// the shape folded into `key`. The engine serves whichever version it
+  /// was last rebound to: `Query` rebinds the full and ranked engines
+  /// under `mu_`, `StreamRows` rebinds the streaming engine under
+  /// `exec_mu`. Slots are shared_ptrs so an engine streaming outside the
+  /// service lock survives its own LRU eviction; `exec_mu` serializes use
+  /// of the (thread-compatible) engine by streams that have left the
+  /// service lock.
   struct EngineSlot {
     uint64_t key = 0;
     uint64_t last_use = 0;
@@ -289,10 +297,6 @@ class SrsService {
   /// Resolves a request's version (kLatestVersion → served head) or
   /// InvalidArgument.
   Result<uint64_t> ResolveVersion(uint64_t requested) const;
-
-  /// Memo key of one (shape, options, version) engine configuration.
-  uint64_t EngineKey(int shape_tag, const SimilarityOptions& options,
-                     uint64_t version) const;
 
   /// Finds the slot for `key` (refreshing LRU order) or creates one via
   /// `build`, evicting the least-recently-used slot first so residency

@@ -173,6 +173,14 @@ class TopKEngine {
     return eval_.snapshot();
   }
 
+  /// Serves `snapshot`, another version of the same graph, from the next
+  /// batch on (MeasureEvaluator::Rebind); the pool and the per-worker
+  /// state stay warm. Answers are bit-identical to a new engine's over
+  /// `snapshot`.
+  void Rebind(std::shared_ptr<const GraphSnapshot> snapshot) {
+    eval_.Rebind(std::move(snapshot), options_.similarity);
+  }
+
   /// Top-k answers, one per query, in batch order. The batch must be
   /// non-empty (InvalidArgument) and every node in range (OutOfRange); on
   /// error no query is evaluated. With a result cache, repeated queries

@@ -11,6 +11,12 @@ namespace srs {
 Status LineReader::ReadLine(std::string* line) {
   while (true) {
     const size_t newline = buffer_.find('\n', scanned_);
+    if ((newline != std::string::npos ? newline : buffer_.size()) >
+        max_line_bytes_) {
+      return Status::CapacityError("line longer than " +
+                                   std::to_string(max_line_bytes_) +
+                                   " bytes");
+    }
     if (newline != std::string::npos) {
       line->assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);

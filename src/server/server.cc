@@ -163,10 +163,20 @@ void SrsServer::AcceptLoop() {
 }
 
 void SrsServer::HandleConnection(int fd) {
-  LineReader reader(fd);
+  LineReader reader(fd, kMaxRequestLineBytes);
   std::string line;
   bool keep_going = true;
-  while (keep_going && reader.ReadLine(&line).ok()) {
+  while (keep_going) {
+    const Status read = reader.ReadLine(&line);
+    if (read.code() == StatusCode::kCapacityError) {
+      // The rest of an over-long line cannot be framed: answer it once,
+      // then close the connection.
+      CountResponse(false);
+      WriteLine(fd, MakeErrorResponse(JsonValue(), kStatusInvalidRequest,
+                                      "request " + read.message())
+                        .Encode());
+    }
+    if (!read.ok()) break;
     if (line.empty()) continue;
     {
       std::lock_guard<std::mutex> lock(stats_mu_);

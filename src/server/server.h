@@ -45,6 +45,13 @@
 
 namespace srs {
 
+/// Longest request line a connection may send, in bytes before its
+/// '\n'. The longest request in the repo is a ~3 MiB line (a stats op
+/// with a 3 MiB id, tests/server_test.cpp); query and apply_delta lines
+/// are a few hundred bytes. A longer line is answered with one
+/// `invalid_request` naming the limit, and the connection is closed.
+inline constexpr size_t kMaxRequestLineBytes = size_t{16} << 20;
+
 /// Configuration of an SrsServer.
 struct ServerOptions {
   /// TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (see

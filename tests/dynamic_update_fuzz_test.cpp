@@ -2,9 +2,10 @@
 // × random EdgeDelta sequences, asserting that *incrementally* served
 // results — versioned snapshots patched row by row (engine/snapshot.h),
 // shared result caches propagated across deltas
-// (engine/delta_invalidation.h) — are **bit-identical** to rebuilding each
-// version from scratch, across all three measures × both kernel backends ×
-// all three serving engines.
+// (engine/delta_invalidation.h), engines built once and rebound to every
+// later version — are **bit-identical** to rebuilding each version from
+// scratch, across all three measures × both kernel backends × all three
+// serving engines.
 //
 // Two lanes share this binary (tests/CMakeLists.txt): the *Fast* test runs
 // a small configuration in the PR lane; the full sweep is registered with
@@ -29,6 +30,7 @@
 #include "srs/engine/topk_engine.h"
 #include "srs/graph/delta.h"
 #include "srs/graph/generators.h"
+#include "srs/graph/graph_builder.h"
 #include "srs/graph/versioned_graph.h"
 
 namespace srs {
@@ -61,6 +63,45 @@ void ExpectBitEqual(const std::vector<double>& got,
     }
     FAIL() << context << " bit drift not visible at value level";
   }
+}
+
+/// Same answer, same diagnostics: the ranking (ids and score bits), the
+/// levels evaluated and possible, and the residual bound.
+void ExpectSameTopK(const TopKResult& got, const TopKResult& want,
+                    const std::string& context) {
+  ASSERT_EQ(got.ranking.size(), want.ranking.size()) << context;
+  for (size_t r = 0; r < got.ranking.size(); ++r) {
+    EXPECT_EQ(got.ranking[r].node, want.ranking[r].node)
+        << context << " rank " << r;
+    EXPECT_EQ(got.ranking[r].score, want.ranking[r].score)
+        << context << " rank " << r;
+  }
+  // The termination diagnostics depend on the residual tails, which
+  // derive from the snapshot's row-sum gammas — identical bits between
+  // incremental and rebuilt snapshots.
+  EXPECT_EQ(got.levels_evaluated, want.levels_evaluated) << context;
+  EXPECT_EQ(got.levels_total, want.levels_total) << context;
+  EXPECT_EQ(got.residual_bound, want.residual_bound) << context;
+}
+
+/// A random in-tree: every node but the root points to its parent, and
+/// every parent has two or three children. Each column of Q then sums to
+/// at most 1/2, so the binomial residual tails (core/topk.h), which
+/// saturate once (gamma_q + gamma_qt) / 2 reaches 1, still depend on the
+/// gammas here; they change as soon as a delta leaves some node with one
+/// child. On the other graph families they are saturated at every
+/// version, so a stale tail would go unseen.
+Result<Graph> RandomInTree(int64_t n, Rng* rng) {
+  GraphBuilder builder(n);
+  NodeId next = 1;
+  for (NodeId parent = 0; next < n; ++parent) {
+    int64_t children = 2 + static_cast<int64_t>(rng->Uniform(2));
+    if (n - next - children < 2) children = n - next;  // no lone child
+    for (; children > 0; --children, ++next) {
+      SRS_RETURN_NOT_OK(builder.AddEdge(next, parent));
+    }
+  }
+  return builder.Build();
 }
 
 EdgeDelta RandomDelta(const VersionedGraph& vg, int max_ops, Rng* rng) {
@@ -103,7 +144,7 @@ EdgeDelta RandomDelta(const VersionedGraph& vg, int max_ops, Rng* rng) {
 }
 
 struct FuzzConfig {
-  int num_graphs = 2;
+  int num_graphs = 3;  ///< Erdős–Rényi, R-MAT, in-tree, round robin
   int num_versions = 4;  ///< versions beyond the base, per graph
   int max_ops = 8;       ///< max delta ops per version
   int64_t max_nodes = 48;
@@ -117,8 +158,9 @@ void RunDifferentialFuzz(uint64_t seed, const FuzzConfig& config) {
                                rng.Uniform(config.max_nodes - 15));
     const int64_t m = n * (1 + static_cast<int64_t>(rng.Uniform(3)));
     Result<Graph> base =
-        gi % 2 == 0 ? ErdosRenyi(n, std::min(m, n * (n - 1) / 2), rng.Next())
-                    : Rmat(n, m, rng.Next());
+        gi % 3 == 0   ? ErdosRenyi(n, std::min(m, n * (n - 1) / 2), rng.Next())
+        : gi % 3 == 1 ? Rmat(n, m, rng.Next())
+                      : RandomInTree(n, &rng);
     ASSERT_TRUE(base.ok()) << base.status().ToString();
     SCOPED_TRACE("graph " + std::to_string(gi) + ": n=" + std::to_string(n));
 
@@ -143,6 +185,35 @@ void RunDifferentialFuzz(uint64_t seed, const FuzzConfig& config) {
     sims[1].backend = KernelBackendKind::kSparse;
     sims[1].prune_epsilon = 0.0;  // sparse must reproduce dense bitwise
 
+    // One full-row and one top-k engine per backend, built at version 0
+    // and rebound to every later version the way SrsService serves a
+    // delta: their pools, workspaces and result caches stay the same
+    // objects throughout, and they are asked the previous version's
+    // queries too, so an answer cached under a stale digest would be
+    // served.
+    std::vector<QueryEngine> rebound_full;
+    std::vector<TopKEngine> rebound_ranked;
+    for (int b = 0; b < 2; ++b) {
+      QueryEngineOptions qopts;
+      qopts.similarity = sims[b];
+      qopts.num_threads = 2;
+      qopts.result_cache = caches[b];
+      qopts.snapshot_cache = &snapshots;
+      Result<QueryEngine> full = QueryEngine::Create({vg, 0}, qopts);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      rebound_full.push_back(full.MoveValueOrDie());
+      TopKEngineOptions topts;
+      topts.similarity = sims[b];
+      topts.similarity.top_k = 3;
+      topts.num_threads = 2;
+      topts.result_cache = caches[b];
+      topts.snapshot_cache = &snapshots;
+      Result<TopKEngine> ranked = TopKEngine::Create({vg, 0}, topts);
+      ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+      rebound_ranked.push_back(ranked.MoveValueOrDie());
+    }
+    std::vector<NodeId> previous_queries;
+
     for (uint64_t v = 0; v <= static_cast<uint64_t>(config.num_versions);
          ++v) {
       SCOPED_TRACE("version " + std::to_string(v));
@@ -165,6 +236,8 @@ void RunDifferentialFuzz(uint64_t seed, const FuzzConfig& config) {
                                               *parent.ValueOrDie(),
                                               *child.ValueOrDie(), sims[b]);
           ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+          rebound_full[static_cast<size_t>(b)].Rebind(child.ValueOrDie());
+          rebound_ranked[static_cast<size_t>(b)].Rebind(child.ValueOrDie());
         }
       }
 
@@ -193,6 +266,12 @@ void RunDifferentialFuzz(uint64_t seed, const FuzzConfig& config) {
         queries.push_back(static_cast<NodeId>(rng.Uniform(n)));
       }
       const int threads = 1 + static_cast<int>(v % 2);
+      // The cold side answers this version's queries, then the previous
+      // version's, which only the rebound engines are also asked.
+      std::vector<NodeId> asked = queries;
+      asked.insert(asked.end(), previous_queries.begin(),
+                   previous_queries.end());
+      previous_queries = queries;
 
       for (int b = 0; b < 2; ++b) {
         SCOPED_TRACE(b == 0 ? "backend dense" : "backend sparse");
@@ -222,7 +301,7 @@ void RunDifferentialFuzz(uint64_t seed, const FuzzConfig& config) {
           Result<QueryEngine> cold = QueryEngine::Create(rebuilt, cold_opts);
           ASSERT_TRUE(cold.ok()) << cold.status().ToString();
           Result<std::vector<std::vector<double>>> want =
-              cold.ValueOrDie().BatchScores(measure, queries);
+              cold.ValueOrDie().BatchScores(measure, asked);
           ASSERT_TRUE(want.ok());
           for (size_t i = 0; i < queries.size(); ++i) {
             ExpectBitEqual(got.ValueOrDie()[i], want.ValueOrDie()[i],
@@ -268,24 +347,30 @@ void RunDifferentialFuzz(uint64_t seed, const FuzzConfig& config) {
               TopKEngine::Create(rebuilt, cold_topts);
           ASSERT_TRUE(tk_cold.ok());
           Result<std::vector<TopKResult>> tk_want =
-              tk_cold.ValueOrDie().BatchTopK(measure, queries);
+              tk_cold.ValueOrDie().BatchTopK(measure, asked);
           ASSERT_TRUE(tk_want.ok());
           for (size_t i = 0; i < queries.size(); ++i) {
-            const TopKResult& a = tk_got.ValueOrDie()[i];
-            const TopKResult& c = tk_want.ValueOrDie()[i];
-            ASSERT_EQ(a.ranking.size(), c.ranking.size());
-            for (size_t r = 0; r < a.ranking.size(); ++r) {
-              EXPECT_EQ(a.ranking[r].node, c.ranking[r].node)
-                  << "top-k rank " << r;
-              EXPECT_EQ(a.ranking[r].score, c.ranking[r].score)
-                  << "top-k rank " << r;
-            }
-            // The termination diagnostics depend on the residual tails,
-            // which derive from the snapshot's row-sum gammas — identical
-            // bits between incremental and rebuilt snapshots.
-            EXPECT_EQ(a.levels_evaluated, c.levels_evaluated);
-            EXPECT_EQ(a.levels_total, c.levels_total);
-            EXPECT_EQ(a.residual_bound, c.residual_bound);
+            ExpectSameTopK(tk_got.ValueOrDie()[i], tk_want.ValueOrDie()[i],
+                           "TopKEngine query " + std::to_string(queries[i]));
+          }
+
+          // --- Engines rebound from version 0 --------------------------
+          Result<std::vector<std::vector<double>>> rebound_rows =
+              rebound_full[static_cast<size_t>(b)].BatchScores(measure,
+                                                               asked);
+          ASSERT_TRUE(rebound_rows.ok());
+          Result<std::vector<TopKResult>> rebound_top =
+              rebound_ranked[static_cast<size_t>(b)].BatchTopK(measure,
+                                                               asked);
+          ASSERT_TRUE(rebound_top.ok());
+          for (size_t i = 0; i < asked.size(); ++i) {
+            const std::string query = std::to_string(asked[i]);
+            ExpectBitEqual(rebound_rows.ValueOrDie()[i],
+                           want.ValueOrDie()[i],
+                           "rebound QueryEngine query " + query);
+            ExpectSameTopK(rebound_top.ValueOrDie()[i],
+                           tk_want.ValueOrDie()[i],
+                           "rebound TopKEngine query " + query);
           }
         }
       }

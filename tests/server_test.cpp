@@ -3,12 +3,14 @@
 // wire protocol codec (server/protocol.h), the AdmissionQueue's
 // coalescing / backpressure / expiry semantics in isolation, and the full
 // SrsServer over real TCP connections — concurrent clients, coalescing
-// observed via queue stats, deadline_expired and overload statuses, and a
-// delta swap under live traffic that must never produce a torn answer.
+// observed via queue stats, deadline_expired and overload statuses, an
+// over-long request line, and a delta swap under live traffic that must
+// never produce a torn answer.
 //
 // Runs in the fast lane and again under TSan (LABELS "tsan"): the server
 // is the repo's most thread-dense component.
 
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -820,6 +822,65 @@ TEST(LineIoTest, MultiMegabyteLineThenASecondLineInTheSameBuffer) {
   writer.join();
   EXPECT_TRUE(reader.ReadLine(&line).IsIoError()) << "end of stream";
   ::close(fds[0]);
+}
+
+TEST(LineIoTest, CappedReaderRejectsALongerLineWithoutWaitingForItsEnd) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  // A line of exactly the cap is read. The next one is a byte over and
+  // has no terminator, and the writer stays open: the reader must fail
+  // on what it has instead of waiting for a '\n' that may never come.
+  ASSERT_TRUE(WriteLine(fds[1], "12345678").ok());
+  const std::string over = "123456789";
+  ASSERT_EQ(::send(fds[1], over.data(), over.size(), 0),
+            static_cast<ssize_t>(over.size()));
+  LineReader reader(fds[0], /*max_line_bytes=*/8);
+  std::string line;
+  ASSERT_TRUE(reader.ReadLine(&line).ok());
+  EXPECT_EQ(line, "12345678");
+  const Status status = reader.ReadLine(&line);
+  EXPECT_EQ(status.code(), StatusCode::kCapacityError) << status.ToString();
+  EXPECT_NE(status.message().find("8 bytes"), std::string::npos)
+      << status.ToString();
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(ServerTest, OverlongRequestLineIsAnsweredOnceThenClosed) {
+  std::unique_ptr<SrsService> service = MakeService(Fig1CitationGraph());
+  std::unique_ptr<SrsServer> server =
+      SrsServer::Start(service.get()).MoveValueOrDie();
+  // A raw socket: the client would terminate the line.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(server->port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  // The server reads all cap + 1 bytes before it answers, so the whole
+  // line is sent first.
+  const std::string flood(kMaxRequestLineBytes + 1, 'x');
+  for (size_t sent = 0; sent < flood.size();) {
+    const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<size_t>(n);
+  }
+  LineReader reader(fd);
+  std::string line;
+  ASSERT_TRUE(reader.ReadLine(&line).ok());
+  const JsonValue error = ParseJson(line).ValueOrDie();
+  EXPECT_EQ(StatusOf(error), kStatusInvalidRequest) << line;
+  EXPECT_NE(error.Find("error")->AsString().find(
+                std::to_string(kMaxRequestLineBytes)),
+            std::string::npos)
+      << line;
+  EXPECT_TRUE(reader.ReadLine(&line).IsIoError()) << "then end of stream";
+  ::close(fd);
+  EXPECT_EQ(server->Stats().responses_error, 1u);
 }
 
 TEST(ServerTest, MultiMegabyteLinesCrossTheWireBothWays) {

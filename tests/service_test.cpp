@@ -1,10 +1,16 @@
 // Tests for the SrsService facade (engine/service.h): answers must be
 // bit-identical to driving the underlying engines directly with the same
-// options; versions are served correctly across ApplyDelta; warm engines
-// are reused; deadlines and bad requests fail with the right codes.
+// options; versions are served correctly across ApplyDelta, by one warm
+// engine rebound to each request's version; warm engines are reused;
+// deadlines and bad requests fail with the right codes.
+//
+// Runs in the fast lane and again under TSan (LABELS "tsan"): streams on
+// two threads share and rebind one engine.
 
+#include <atomic>
 #include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -170,10 +176,18 @@ TEST(ServiceTest, ApplyDeltaServesBothVersions) {
   pinned.version = 0;
   const QueryResponse at_v1 = service->Query(latest).ValueOrDie();
   const QueryResponse at_v0 = service->Query(pinned).ValueOrDie();
+  const QueryResponse again = service->Query(latest).ValueOrDie();
   EXPECT_EQ(at_v1.version, 1u);
   EXPECT_EQ(at_v0.version, 0u);
+  EXPECT_EQ(again.version, 1u);
   EXPECT_NE(at_v0.rows[0].scores, at_v1.rows[0].scores)
       << "the inserted edge must change node 7's row";
+  EXPECT_EQ(again.rows[0].scores, at_v1.rows[0].scores);
+  // One engine serves all three: the pinned read rebinds it back to v0,
+  // and the next latest read rebinds it forward again.
+  EXPECT_TRUE(at_v0.engine_reused);
+  EXPECT_TRUE(again.engine_reused);
+  EXPECT_EQ(service->Stats().engines_created, 1u);
 
   VersionedGraph chain((Graph(g)));
   EdgeDelta::Builder same;
@@ -192,6 +206,55 @@ TEST(ServiceTest, ApplyDeltaServesBothVersions) {
             new_engine
                 .BatchScores(QueryMeasure::kSimRankStarGeometric, {7})
                 .ValueOrDie()[0]);
+}
+
+TEST(ServiceTest, ConcurrentStreamsAtTwoVersionsShareOneEngine) {
+  // Two threads stream the same configuration, one pinned to v0 and one
+  // to v1, so they share one streaming engine and each rebinds it to its
+  // own version under the engine's lock. Every streamed row must equal a
+  // direct engine's at the stream's version.
+  const Graph g = Fig1CitationGraph();
+  std::unique_ptr<SrsService> service = MakeService(g);
+  EdgeDelta::Builder builder;
+  builder.Insert(7, 3);
+  const EdgeDelta delta = builder.Build(g.NumNodes()).ValueOrDie();
+  ASSERT_EQ(service->ApplyDelta(delta).ValueOrDie(), 1u);
+
+  VersionedGraph chain((Graph(g)));
+  ASSERT_TRUE(chain.Apply(delta).ok());
+  const std::vector<NodeId> sources = {7, 3, 0, 5};
+  std::vector<std::vector<double>> expected[2];
+  for (uint64_t v = 0; v < 2; ++v) {
+    QueryEngine engine =
+        QueryEngine::Create({chain, v}, QueryEngineOptions{}).MoveValueOrDie();
+    expected[v] =
+        engine.BatchScores(QueryMeasure::kSimRankStarGeometric, sources)
+            .ValueOrDie();
+  }
+  ASSERT_NE(expected[0][0], expected[1][0])
+      << "the inserted edge must change node 7's row";
+
+  std::atomic<bool> go{false};
+  auto stream_at = [&](uint64_t version) {
+    QueryRequest request;
+    request.sources = sources;
+    request.version = version;
+    while (!go.load()) std::this_thread::yield();
+    for (int round = 0; round < 200; ++round) {
+      const Status status = service->StreamRows(
+          request, [&](int64_t i, NodeId, const std::vector<double>& row) {
+            EXPECT_EQ(row, expected[version][static_cast<size_t>(i)])
+                << "version " << version << " row " << i;
+          });
+      EXPECT_TRUE(status.ok()) << status.ToString();
+    }
+  };
+  std::thread old_reader(stream_at, 0);
+  std::thread new_reader(stream_at, 1);
+  go.store(true);
+  old_reader.join();
+  new_reader.join();
+  EXPECT_EQ(service->Stats().engines_created, 1u);
 }
 
 TEST(ServiceTest, ApplyDeltaPropagatesResultCache) {
